@@ -11,7 +11,8 @@ and, during the design phase, the IP integrator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntFlag
 from typing import Mapping, Optional, Protocol, Sequence
 
@@ -148,8 +149,6 @@ def deny(reason: DenialReason) -> Decision:
 class CredentialChecker(Protocol):
     """Read-only credential verification view over a provisioned token table."""
 
-    def __contains__(self, obj: ObjectId) -> bool: ...
-
     def check_credentials(self, obj: ObjectId, ip_id, token) -> Optional[DenialReason]: ...
 
 
@@ -180,15 +179,33 @@ class SystemModel:
     objects: tuple[ObjectId, ...]
     matrices: tuple[tuple[UserId, AccessMatrix], ...]
     design_phase: bool = True
+    # process -> (owner's matrix, row) and object -> column, rebuilt by every
+    # construction including ``replace``; cells are not copied
+    _rows: dict = field(init=False, repr=False, compare=False)
+    _cols: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        matrices, rows, seen = dict(self.matrices), {}, Counter()
+        for p in self.processes:
+            rows[p] = (matrices.get(p.owner), seen[p.owner])
+            seen[p.owner] += 1
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_cols", {o: c for c, o in enumerate(self.objects)})
+
+    def knows(self, user: UserId, process: ProcessId, obj: ObjectId) -> bool:
+        """True iff the user, the process and the object all belong to the model."""
+        return user in self.users and process in self._rows and obj in self._cols
+
+    def covers(self, process: ProcessId, obj: ObjectId, attribute: AccessAttribute) -> bool:
+        """The matrix rule: the process's cell for obj holds every requested bit."""
+        matrix, row = self._rows[process]
+        return attribute & matrix.cell(row, self._cols[obj]) == attribute
 
     def matrix_for(self, user: UserId) -> AccessMatrix:
         for owner, matrix in self.matrices:
             if owner == user:
                 return matrix
         raise ParameterError(f"no matrix for {user}")
-
-    def processes_of(self, user: UserId) -> tuple[ProcessId, ...]:
-        return tuple(p for p in self.processes if p.owner == user)
 
     def sealed(self) -> "SystemModel":
         """Leave the design phase: integrator modifications are rejected after this."""
@@ -265,30 +282,22 @@ def evaluate(
 ) -> Decision:
     """Decide one access request.
 
-    Check order is fixed (it is part of the observable reason contract):
-    unknown references, foreign process, credential match, empty-attribute
-    strict check, matrix coverage.
+    Stages run in one fixed order, part of the observable reason contract:
+    unknown reference, foreign process, credentials (MALFORMED for an
+    unprovisioned object), strict empty attribute, matrix rule (``covers``).
+    ``authorize`` runs all of them on every HIGH target; the simulator's
+    baseline mode runs only an unknown-target check and the matrix rule.
     """
-    if (
-        request.user not in model.users
-        or request.process not in model.processes
-        or request.object not in model.objects
-    ):
+    if not model.knows(request.user, request.process, request.object):
         return deny(DenialReason.MALFORMED)
     if request.process.owner != request.user:
         return deny(DenialReason.FOREIGN_PROCESS)
-    if request.object not in credentials:
-        return deny(DenialReason.MALFORMED)
     cred_reason = credentials.check_credentials(request.object, request.ip_id, request.token)
     if cred_reason is not None:
         return deny(cred_reason)
     if strict and not (classify_confidentiality(request.attribute) or classify_integrity(request.attribute)):
         return deny(DenialReason.MALFORMED)
-    own_processes = model.processes_of(request.user)
-    row = own_processes.index(request.process)
-    col = model.objects.index(request.object)
-    cell = model.matrix_for(request.user).cell(row, col)
-    if request.attribute & cell != request.attribute:
+    if not model.covers(request.process, request.object, request.attribute):
         return deny(DenialReason.MATRIX_DENY)
     return GRANT
 
@@ -306,13 +315,12 @@ def modify_matrix(
     allowed = actor is Actor.CONTROLLER or (actor is Actor.INTEGRATOR and model.design_phase)
     if not allowed:
         raise MatrixTamperError(f"{actor.value} may not modify the access matrix")
-    if user not in model.users or process not in model.processes or obj not in model.objects:
+    if not model.knows(user, process, obj):
         raise ParameterError("unknown user/process/object")
     if process.owner != user:
         raise ParameterError("process is not owned by the given user")
-    row = model.processes_of(user).index(process)
-    col = model.objects.index(obj)
-    new_matrix = model.matrix_for(user).with_cell(row, col, new_attribute)
+    matrix, row = model._rows[process]
+    new_matrix = matrix.with_cell(row, model._cols[obj], new_attribute)
     new_matrices = tuple(
         (u, new_matrix if u == user else m) for u, m in model.matrices
     )

@@ -127,17 +127,24 @@ def parse_puf_params(section) -> PufParams:
         raise ConfigurationError(f"puf section: {exc}") from exc
 
 
+def _config_int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}") from exc
+
+
 def cmd_run(config_path: str, mode_override=None, seed_override=None, out_path="out") -> int:
     try:
         config = load_config(Path(config_path))
         mode = mode_override or config.get("mode", "trusttoken")
         if mode not in MODES:
             raise ConfigurationError(f"unknown mode {mode!r}")
-        seed = int(seed_override if seed_override is not None else config.get("seed", 0))
+        seed = _config_int(seed_override if seed_override is not None else config.get("seed", 0), "seed")
         params = parse_puf_params(config.get("puf"))
         topology = parse_topology(config.get("topology", {}))
         script = parse_script(config.get("script"))
-        max_cycles = int(config.get("max_cycles", 10_000))
+        max_cycles = _config_int(config.get("max_cycles", 10_000), "max_cycles")
         sim = build(topology, seed, mode=mode, params=params)
         log = run(sim, script, max_cycles)
         summary = report(log)

@@ -33,6 +33,7 @@ from .policy_engine import (
 from .puf_model import PufParams, new_chip
 from .token_authority import (
     ZERO_TOKEN,
+    AuthorizationOutcome,
     Token,
     authorize,
     provision,
@@ -216,8 +217,6 @@ class Simulation:
             self.objects[ip.object] = obj
             self.object_names[obj] = ip.object
 
-        self.app_names = {proc: name for name, proc in self.apps.items()}
-
         # matrices: each app gets full access to its mapped IP, nothing else
         matrices = []
         for ui, cpu in enumerate(topology.cpus):
@@ -286,28 +285,23 @@ class Simulation:
 
     # -- authorization paths ----------------------------------------------
 
-    def _authorize(self, txn: WrappedTransaction):
+    def _authorize(self, txn: WrappedTransaction) -> AuthorizationOutcome:
+        """Decide one transaction: ``authorize`` in trusttoken mode, which
+        runs every ``evaluate`` stage (unknown reference, foreign process,
+        credentials, strict empty attribute, matrix) on HIGH targets.  The
+        token-free baseline runs a subset, all at cycle cost 1: unknown
+        target -> MALFORMED; the bypass flags (interconnect check disabled,
+        or the target's protection signal cleared) -> grant; then the shared
+        matrix rule ``SystemModel.covers`` -> MATRIX_DENY."""
         if self.mode == MODE_TRUSTTOKEN:
             return authorize(self.table, txn, self.model)
-        return self._baseline_authorize(txn)
-
-    def _baseline_authorize(self, txn: WrappedTransaction):
-        """Signal-gated isolation only: no tokens, one-cycle check at the
-        interconnect, bypassed entirely once its signal state is tampered."""
-        from .token_authority import AuthorizationOutcome
-
         name = self.object_names.get(txn.target)
         if name is None:
             return AuthorizationOutcome(False, 1, DenialReason.MALFORMED, serial=txn.serial)
-        if not self._baseline_check_enabled or not self._baseline_secure[name]:
+        bypassed = not self._baseline_check_enabled or not self._baseline_secure[name]
+        if bypassed or self.model.covers(txn.source, txn.target, txn.kind):
             return AuthorizationOutcome(True, 1, serial=txn.serial)
-        user = txn.source.owner
-        row = self.model.processes_of(user).index(txn.source)
-        col = tuple(self.objects.values()).index(txn.target)
-        cell = self.model.matrix_for(user).cell(row, col)
-        if txn.kind & cell != txn.kind:
-            return AuthorizationOutcome(False, 1, DenialReason.MATRIX_DENY, serial=txn.serial)
-        return AuthorizationOutcome(True, 1, serial=txn.serial)
+        return AuthorizationOutcome(False, 1, DenialReason.MATRIX_DENY, serial=txn.serial)
 
     # -- attack construction (explicit injection surface) ------------------
 
@@ -342,6 +336,8 @@ def build(topology: Topology, master_seed: int, mode: str = MODE_TRUSTTOKEN,
           params: Optional[PufParams] = None) -> Simulation:
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}, expected one of {MODES}")
+    if master_seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {master_seed}")
     topology.validate()
     return Simulation(topology, master_seed, mode, params or PufParams())
 

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ParameterError, ProvisioningError
 from .policy_engine import (
     AccessRequest,
-    Decision,
     DenialReason,
     IntegrityLevel,
     ObjectId,
@@ -176,27 +175,22 @@ def provision(
     return TokenTable(entries, epoch=epoch)
 
 
-def authorize(
-    table: TokenTable,
-    txn,
-    policy: SystemModel,
-    strict: bool = True,
-) -> AuthorizationOutcome:
+def authorize(table: TokenTable, txn, policy: SystemModel) -> AuthorizationOutcome:
     """Authorize one wrapped transaction.
 
-    LOW-integrity targets pass through unchecked at cycle cost 1.  HIGH
-    targets pay the 2-cycle handshake: credential comparison first, then
-    the policy decision; the payload of a denied transaction is never
-    delivered (enforced by the wrapper, which requires this outcome).
+    An unprovisioned target is MALFORMED.  LOW-integrity targets pass
+    through unchecked at cycle cost 1.  Every HIGH target pays the 2-cycle
+    handshake and is decided by one :func:`evaluate` call, whose stages run
+    in one order (unknown reference, foreign process, credentials, strict
+    empty attribute, matrix) and fix the reason; the simulator's baseline
+    mode runs only the unknown-target and matrix stages.  A denied payload
+    is never delivered (enforced by the wrapper, which requires this outcome).
     """
     target = txn.target
     if target not in table:
         return AuthorizationOutcome(False, 2, DenialReason.MALFORMED, serial=txn.serial)
     if lookup_integrity(table, target) is IntegrityLevel.LOW:
         return AuthorizationOutcome(True, 1, serial=txn.serial)
-    cred_reason = table.check_credentials(target, txn.sideband.ar_id, txn.sideband.ar_token)
-    if cred_reason is not None:
-        return AuthorizationOutcome(False, 2, cred_reason, serial=txn.serial)
     request = AccessRequest(
         user=txn.source.owner,
         process=txn.source,
@@ -205,10 +199,8 @@ def authorize(
         ip_id=txn.sideband.ar_id,
         attribute=txn.kind,
     )
-    decision: Decision = evaluate(policy, request, table, strict=strict)
-    if not decision.granted:
-        return AuthorizationOutcome(False, 2, decision.reason, serial=txn.serial)
-    return AuthorizationOutcome(True, 2, serial=txn.serial)
+    decision = evaluate(policy, request, table)
+    return AuthorizationOutcome(decision.granted, 2, decision.reason, serial=txn.serial)
 
 
 def request_integrity_transition(

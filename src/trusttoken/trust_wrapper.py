@@ -130,8 +130,7 @@ class TrustWrapper:
         clock: int,
     ) -> WrappedTransaction:
         """Create a transaction carrying this wrapper's own sideband verbatim."""
-        if not self.provisioned:
-            raise ConfigurationError(f"wrapper for {self.object} is not provisioned")
+        sideband = self.sideband()
         if kind == AccessAttribute.NONE:
             raise ParameterError("transaction kind needs at least one access bit")
         self._issue_counter += 1
@@ -140,7 +139,7 @@ class TrustWrapper:
             target=target,
             kind=kind,
             payload=bytes(payload),
-            sideband=self.sideband(),
+            sideband=sideband,
             issue_cycle=clock,
             serial=self._issue_counter,
         )
@@ -178,9 +177,3 @@ class WrapperRegistry:
 
     def __getitem__(self, obj: ObjectId) -> TrustWrapper:
         return self._wrappers[obj]
-
-    def __iter__(self):
-        return iter(self._wrappers.values())
-
-    def objects(self) -> tuple[ObjectId, ...]:
-        return tuple(self._wrappers)

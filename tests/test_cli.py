@@ -46,6 +46,23 @@ class TestRun:
         )
         assert run_cli("run", "--config", str(bad), "--out", str(tmp_path)) == 1
 
+    def test_negative_seed_in_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(bundled_config("smoke.cfg").read_text().replace("seed: 7", "seed: -3"))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.startswith("error: seed")
+
+    def test_negative_seed_override_exits_1(self, tmp_path, capsys):
+        cfg = str(bundled_config("smoke.cfg"))
+        assert run_cli("run", "--config", cfg, "--seed", "-1", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error: seed")
+
+    def test_non_integer_max_cycles_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cycles.cfg"
+        cfg.write_text(bundled_config("smoke.cfg").read_text().replace("max_cycles: 100", "max_cycles: abc"))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.startswith("error: max_cycles")
+
     def test_smoke_config(self, tmp_path):
         rc = run_cli("run", "--config", str(bundled_config("smoke.cfg")), "--out", str(tmp_path / "smoke"))
         assert rc == 0

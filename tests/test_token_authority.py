@@ -6,12 +6,14 @@ from trusttoken.errors import ParameterError, ProvisioningError
 from trusttoken.policy_engine import (
     AccessAttribute,
     AccessMatrix,
+    AccessRequest,
     DenialReason,
     IntegrityLevel,
     ObjectId,
     ProcessId,
     UserId,
     build_system,
+    evaluate,
 )
 from trusttoken.token_authority import (
     ZERO_TOKEN,
@@ -154,6 +156,49 @@ class TestAuthorize:
         txn = txn_for(creds, OBJECTS[0], ObjectId(17))
         outcome = authorize(table, txn, permissive_model)
         assert outcome.reason is DenialReason.MALFORMED
+
+
+def test_authorize_is_evaluate_on_high_targets(chip, default_params):
+    """authorize adds only the unknown-target and LOW pass-through checks;
+    every other verdict and reason is evaluate's, at cycle cost 2."""
+    levels = [IntegrityLevel.HIGH, IntegrityLevel.HIGH, IntegrityLevel.LOW, IntegrityLevel.HIGH]
+    table = provision(chip, default_params, list(zip(OBJECTS, levels)), master_seed=5)
+    creds = {obj: table.release_credentials(obj) for obj in OBJECTS}
+    u0, u1 = UserId(0), UserId(1)
+    procs = [ProcessId(u0, 0), ProcessId(u0, 1), ProcessId(u1, 0)]
+    R, W, E = AccessAttribute.READ, AccessAttribute.WRITE, AccessAttribute.EXECUTE
+    N = AccessAttribute.NONE
+    matrices = [
+        AccessMatrix(u0, ((RWE, R, N, W), (N, R | W, E, RWE))),
+        AccessMatrix(u1, ((R | E, N, RWE, R | W),)),
+    ]
+    model = build_system([u0, u1], procs, OBJECTS, matrices).sealed()
+
+    checked, reasons = 0, set()
+    for proc in procs + [ProcessId(u0, 7)]:
+        for target in OBJECTS + [ObjectId(17)]:
+            ip_id, token = creds.get(target, creds[OBJECTS[0]])
+            other_id = creds[OBJECTS[(target.index + 1) % len(OBJECTS)]][0]
+            for sent_id, sent_token in ((ip_id, token), (ip_id, token.flipped(3)), (other_id, token)):
+                for bits in range(8):
+                    kind = AccessAttribute(bits)
+                    sideband = SidebandSignals(sent_token, sent_id, IntegrityLevel.HIGH)
+                    txn = WrappedTransaction(proc, target, kind, b"", sideband, 0, checked)
+                    outcome = authorize(table, txn, model)
+                    assert outcome.serial == checked
+                    checked += 1
+                    if target in table and lookup_integrity(table, target) is IntegrityLevel.LOW:
+                        assert outcome.granted and outcome.cycle_cost == 1
+                        continue
+                    request = AccessRequest(proc.owner, proc, target, sent_token, sent_id, kind)
+                    decision = evaluate(model, request, table)
+                    reasons.add(decision.reason)
+                    assert (outcome.granted, outcome.reason, outcome.cycle_cost) == (
+                        decision.granted, decision.reason, 2
+                    ), (proc, target, sent_id, kind)
+    assert checked == 4 * 5 * 3 * 8
+    assert reasons == {None, DenialReason.MALFORMED, DenialReason.TOKEN_MISMATCH,
+                       DenialReason.ID_MISMATCH, DenialReason.MATRIX_DENY}
 
 
 class TestIntegrityTransitions:
