@@ -83,6 +83,8 @@ def parse_script(entries) -> list:
     for i, raw in enumerate(entries or []):
         try:
             cycle = int(raw["cycle"])
+            if cycle < 0:
+                raise ConfigurationError(f"script entry {i}: cycle must be >= 0, got {cycle}")
             kind = str(raw.get("type", "access"))
             if kind == "access":
                 script.append(
@@ -102,6 +104,8 @@ def parse_script(entries) -> list:
                     params["attribute"] = attribute_from_str(str(params.pop("access")))
                 if "payload" in params:
                     params["payload"] = bytes.fromhex(str(params.pop("payload")))
+                if not 0 <= int(params.get("flip_bit", 0)) <= 255:
+                    raise ConfigurationError(f"script entry {i}: flip_bit must be in 0..255")
                 script.append(
                     AttackInjection(
                         kind=AttackKind(str(raw["kind"])),
@@ -163,8 +167,6 @@ def cmd_run(config_path: str, mode_override=None, seed_override=None, out_path="
 def cmd_puf_eval(chips: int, challenges: int, seed: int, out_path: str,
                  noise_sigma: float | None = None) -> int:
     try:
-        if chips < 2:
-            raise ConfigurationError("need at least 2 chips")
         params = PufParams()
         if noise_sigma is not None:
             params = dataclasses.replace(params, noise_sigma=noise_sigma)
@@ -172,7 +174,9 @@ def cmd_puf_eval(chips: int, challenges: int, seed: int, out_path: str,
         noisy = dataclasses.replace(
             params, noise_sigma=params.process_variation_sigma / 20
         )
-        noisy_metrics = evaluate_population(chips, 1, seed, noisy)
+        # Reliability reads chip 0 of a separate one-challenge campaign with
+        # the same seed; chip 0 does not depend on the chip count.
+        reliability_noisy = evaluate_population(2, 1, seed, noisy).reliability_pct
     except TrustTokenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -185,7 +189,7 @@ def cmd_puf_eval(chips: int, challenges: int, seed: int, out_path: str,
         "uniqueness_pct": metrics.uniqueness_pct,
         "randomness_pct": metrics.randomness_pct,
         "reliability_pct": metrics.reliability_pct,
-        "reliability_noisy_pct": noisy_metrics.reliability_pct,
+        "reliability_noisy_pct": reliability_noisy,
         "fraction_in_40_60_band": metrics.fraction_in_band(),
     }
     (out / "metrics.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")

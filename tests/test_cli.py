@@ -63,6 +63,23 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
         assert capsys.readouterr().err.startswith("error: max_cycles")
 
+    def test_flip_bit_out_of_range_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "flip.cfg"
+        cfg.write_text(
+            bundled_config("smoke.cfg").read_text()
+            + "  - {cycle: 5, type: attack, kind: forge_token, app: app1, target: aes, flip_bit: 999}\n"
+        )
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: script entry 1: flip_bit") and err.count("\n") == 1
+
+    def test_negative_cycle_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cycle.cfg"
+        cfg.write_text(bundled_config("smoke.cfg").read_text().replace("cycle: 1,", "cycle: -4,"))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: script entry 0: cycle") and err.count("\n") == 1
+
     def test_smoke_config(self, tmp_path):
         rc = run_cli("run", "--config", str(bundled_config("smoke.cfg")), "--out", str(tmp_path / "smoke"))
         assert rc == 0
@@ -103,3 +120,12 @@ class TestPufEval:
 
     def test_too_few_chips(self, tmp_path):
         assert run_cli("puf-eval", "--chips", "1", "--out", str(tmp_path)) == 1
+
+    def test_too_many_challenges_exits_1(self, tmp_path, capsys):
+        argv = ("puf-eval", "--chips", "2", "--challenges", "70000", "--out", str(tmp_path))
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith("error: campaign needs 1 to 65536")
+
+    def test_non_finite_noise_sigma_exits_1(self, tmp_path, capsys):
+        assert run_cli("puf-eval", "--noise-sigma", "nan", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error: noise_sigma must be finite")

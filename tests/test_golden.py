@@ -1,5 +1,6 @@
 """Golden outputs: report.json and events.log of every bundled scenario, in
-both modes, must stay byte-identical to the recorded sha256 digests.
+both modes, and metrics.json and hamming.csv of two puf-eval campaigns must
+stay byte-identical to the recorded sha256 digests.
 
 A change that alters these outputs on purpose records the new digests
 here and says why in CHANGES.md.
@@ -9,7 +10,7 @@ import hashlib
 
 import pytest
 
-from trusttoken.scenario_cli import bundled_config, cmd_run
+from trusttoken.scenario_cli import bundled_config, cmd_puf_eval, cmd_run
 
 # (config, mode) -> (exit code, sha256 of events.log, sha256 of report.json)
 GOLDEN = {
@@ -66,3 +67,25 @@ def test_outputs_match_golden_digests(config, mode, tmp_path):
     assert (rc, _sha256(tmp_path / "events.log"), _sha256(tmp_path / "report.json")) == GOLDEN[
         (config, mode)
     ]
+
+
+# noise_sigma -> (sha256 of metrics.json, sha256 of hamming.csv) for
+# puf-eval --chips 20 --challenges 16 --seed 42
+PUF_EVAL_GOLDEN = {
+    None: (
+        "aeb877fe7501ec680cb20997753050c832a9c02bfa1a9183d2975772ba9d655f",
+        "e3bc11f3cef6b24bed42dbc51364fae9c34170c4e92c76e24099eddc8d4e7912",
+    ),
+    1e5: (
+        "a03a183fc5dde8bad97eb5d72b8f19191c7934e970a5e8b2ed461c686b0a4302",
+        "e3bc11f3cef6b24bed42dbc51364fae9c34170c4e92c76e24099eddc8d4e7912",
+    ),
+}
+
+
+@pytest.mark.parametrize("noise_sigma", [None, 1e5])
+def test_puf_eval_matches_golden_digests(noise_sigma, tmp_path):
+    assert cmd_puf_eval(20, 16, 42, str(tmp_path), noise_sigma) == 0
+    assert (_sha256(tmp_path / "metrics.json"), _sha256(tmp_path / "hamming.csv")) == (
+        PUF_EVAL_GOLDEN[noise_sigma]
+    )

@@ -10,7 +10,9 @@ from trusttoken.puf_model import (
     Challenge,
     PufParams,
     Response,
+    _campaign_draws,
     challenge_pairs,
+    evaluate_population,
     fractional_hamming,
     hamming_distance,
     measure_response,
@@ -40,6 +42,12 @@ class TestParams:
             {"noise_sigma": 2e6},  # >= process_variation_sigma
             {"oscillator_count": 0},
             {"response_bits": 0},
+            {"noise_sigma": float("nan")},
+            {"noise_sigma": float("inf")},
+            {"process_variation_sigma": float("inf")},
+            {"process_variation_sigma": float("nan")},
+            {"nominal_frequency": float("nan")},
+            {"nominal_frequency": float("-inf")},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -210,3 +218,64 @@ class TestPopulationBand:
                 total += fractional_hamming(ra, rb)
                 count += 1
         assert 0.40 <= total / count <= 0.60
+
+
+class TestPopulationKernel:
+    """The array pass of evaluate_population and uniqueness against scalar
+    measure_response + hamming_distance over the same chips."""
+
+    @pytest.mark.parametrize(
+        "n_chips, params",
+        [
+            (2, PufParams()),
+            (7, PufParams()),
+            # a width that is not a power of two
+            (5, PufParams(oscillator_count=200, response_bits=100)),
+        ],
+    )
+    def test_matches_scalar_path(self, n_chips, params):
+        n_challenges = 3
+        metrics = evaluate_population(n_chips, n_challenges, 11, params)
+        challenge_values, chip_seeds = _campaign_draws(n_chips, n_challenges, 11)
+        chips = [new_chip(s, params) for s in chip_seeds]
+        width = params.response_bits
+
+        pairwise = []
+        uniq_total = 0.0
+        ones_total = 0.0
+        for cv in challenge_values:
+            responses = [measure_response(c, Challenge(cv), 0, params) for c in chips]
+            ones_total += sum(randomness(r) for r in responses)
+            dists = [
+                hamming_distance(ra, rb) for ra, rb in itertools.combinations(responses, 2)
+            ]
+            pairs = itertools.combinations(range(n_chips), 2)
+            pairwise += [(cv, a, b, d) for (a, b), d in zip(pairs, dists)]
+            uniq_total += sum(d / width for d in dists)
+            assert uniqueness(chips, Challenge(cv), params) == pytest.approx(
+                100.0 * sum(dists) / width / len(dists), rel=1e-12
+            )
+
+        assert metrics.pairwise_distances == tuple(pairwise)
+        # Exact for power-of-two widths; otherwise the scalar float sums
+        # and the kernel's integer sums may round apart in the last place.
+        exact = width & (width - 1) == 0
+        expected_uniq = 100.0 * uniq_total / len(pairwise)
+        expected_rand = ones_total / (n_chips * n_challenges)
+        if exact:
+            assert metrics.uniqueness_pct == expected_uniq
+            assert metrics.randomness_pct == expected_rand
+        else:
+            assert metrics.uniqueness_pct == pytest.approx(expected_uniq, rel=1e-12)
+            assert metrics.randomness_pct == pytest.approx(expected_rand, rel=1e-12)
+
+    def test_uniqueness_rejects_foreign_chip(self, chip):
+        small = PufParams(oscillator_count=200, response_bits=100)
+        with pytest.raises(ParameterError):
+            uniqueness([chip, new_chip(1, small)], Challenge(1), small)
+
+    def test_challenge_count_limited_to_challenge_space(self):
+        assert len(_campaign_draws(2, 0x10000, 0)[0]) == 0x10000
+        for n_challenges in (0, 0x10001):
+            with pytest.raises(ParameterError):
+                evaluate_population(2, n_challenges, 0, PufParams())
