@@ -10,6 +10,7 @@ reliability) are computed from populations of such chips.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,6 +32,15 @@ _COMMON_MODE_VARIANCE_FRACTION = 0.9
 
 _U64_MAX = 2**64 - 1
 
+# Hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx),
+# which _seed_states reproduces in array form.
+_MASK32 = 0xFFFFFFFF
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SS_XSHIFT = np.uint32(16)
+_SS_POOL_SIZE = 4
+
 
 def _check_u64(value: int, name: str) -> int:
     if not isinstance(value, int) or not 0 <= value <= _U64_MAX:
@@ -49,6 +59,14 @@ class PufParams:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        for name in ("oscillator_count", "response_bits"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if self.oscillator_count > 2**32:  # _seed_states takes each index as one word
+            raise ParameterError(
+                f"oscillator_count must be at most 2**32, got {self.oscillator_count}"
+            )
         for name in ("nominal_frequency", "process_variation_sigma", "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -104,14 +122,76 @@ class Response:
         return int(self.bits, 2)
 
 
+def _hash_steps(const: int, mult: int):
+    """The (xor, multiply) constants of SeedSequence's successive hash steps."""
+    while True:
+        step = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(step)
+        const = step
+
+
+def _hash(value: np.ndarray, steps) -> np.ndarray:
+    xor, mul = next(steps)
+    value = (value ^ xor) * mul
+    return value ^ (value >> _SS_XSHIFT)
+
+
+def _seed_states(chip_seed: int, count: int) -> np.ndarray:
+    """Row i is SeedSequence([chip_seed, i]).generate_state(4, np.uint64),
+    for every i in range(count), from one pass of SeedSequence's pool hash
+    over uint32 arrays (wrapping arithmetic).  Needs count <= 2**32, so
+    that each i is a single entropy word."""
+    words = [chip_seed & _MASK32]  # 32-bit words, least significant first
+    while chip_seed >> 32:
+        chip_seed >>= 32
+        words.append(chip_seed & _MASK32)
+    entropy = np.zeros((_SS_POOL_SIZE, count), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(count, dtype=np.uint32)
+
+    steps = _hash_steps(_SS_INIT_A, _SS_MULT_A)
+    pool = [_hash(word, steps) for word in entropy]
+    for src in range(_SS_POOL_SIZE):
+        for dst in range(_SS_POOL_SIZE):
+            if src != dst:
+                mixed = _SS_MIX_L * pool[dst] - _SS_MIX_R * _hash(pool[src], steps)
+                pool[dst] = mixed ^ (mixed >> _SS_XSHIFT)
+    steps = _hash_steps(_SS_INIT_B, _SS_MULT_B)
+    state = np.stack([_hash(pool[k % _SS_POOL_SIZE], steps) for k in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seeded_rng():
+    """words -> the Generator that default_rng builds from the seed whose
+    generate_state(4, np.uint64) is words.  Built on first use, so that
+    importing this module does not import numpy.random."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """Precomputed seed words; PCG64 asks for exactly 4 uint64 words."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: Generator(PCG64(SeedWords(words)))
+
+
 def new_chip(chip_seed: int, params: PufParams) -> ChipFingerprint:
-    """Manufacture a chip: draw each base frequency from a generator seeded
-    by (chip_seed, oscillator index), so regeneration is bit-identical."""
+    """Manufacture a chip: draw each base frequency from the generator
+    default_rng([chip_seed, i]) of its oscillator i, so regeneration is
+    bit-identical.  The seed words of all oscillators come from one array
+    pass (_seed_states)."""
     _check_u64(chip_seed, "chip_seed")
+    seeded_rng = _seeded_rng()
+    sigma = params.process_variation_sigma
     freqs = tuple(
-        params.nominal_frequency
-        + np.random.default_rng([chip_seed, i]).normal(0.0, params.process_variation_sigma)
-        for i in range(params.oscillator_count)
+        params.nominal_frequency + seeded_rng(words).normal(0.0, sigma)
+        for words in _seed_states(chip_seed, params.oscillator_count)
     )
     return ChipFingerprint(chip_seed=chip_seed, base_frequencies=freqs)
 
@@ -151,8 +231,8 @@ def measure_response(
         )
         observed = observed + common + individual
     pairs = challenge_pairs(challenge, params)
-    bits = "".join("1" if observed[a] > observed[b] else "0" for a, b in pairs)
-    return Response(bits)
+    above = observed[pairs[:, 0]] > observed[pairs[:, 1]]
+    return Response((above.view(np.uint8) + ord("0")).tobytes().decode("ascii"))
 
 
 def hamming_distance(a: Response, b: Response) -> int:

@@ -12,7 +12,6 @@ Two subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -100,8 +99,9 @@ def parse_script(entries) -> list:
                 params = {
                     k: v for k, v in raw.items() if k not in ("cycle", "type", "kind")
                 }
-                if "access" in params:
-                    params["attribute"] = attribute_from_str(str(params.pop("access")))
+                for key in ("attribute", "access"):  # access wins if both are given
+                    if key in params:
+                        params["attribute"] = attribute_from_str(str(params.pop(key)))
                 if "payload" in params:
                     params["payload"] = bytes.fromhex(str(params.pop("payload")))
                 if not 0 <= int(params.get("flip_bit", 0)) <= 255:
@@ -193,11 +193,11 @@ def cmd_puf_eval(chips: int, challenges: int, seed: int, out_path: str,
         "fraction_in_40_60_band": metrics.fraction_in_band(),
     }
     (out / "metrics.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # The rows csv.writer would write (no field needs quoting), streamed.
+    tails = [f"{d},{d / 256:.6f}\r\n" for d in range(257)]
     with (out / "hamming.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["challenge", "chip_a", "chip_b", "distance_bits", "distance_frac"])
-        for challenge, a, b, d in metrics.pairwise_distances:
-            writer.writerow([challenge, a, b, d, f"{d / 256:.6f}"])
+        fh.write("challenge,chip_a,chip_b,distance_bits,distance_frac\r\n")
+        fh.writelines(f"{c},{a},{b},{tails[d]}" for c, a, b, d in metrics.pairwise_distances)
     print(
         f"uniqueness={metrics.uniqueness_pct:.2f}% "
         f"randomness={metrics.randomness_pct:.2f}% "

@@ -380,7 +380,11 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
     record; granted payloads produce a response record cycle_cost cycles
     later.  Entries at or beyond max_cycles have no effect.
     """
-    entries = [e for e in list(script) + sim._scheduled if _entry_cycle(e) < max_cycles]
+    entries = list(script) + sim._scheduled
+    for entry in entries:
+        if isinstance(entry, AttackInjection):
+            _check_attack(sim, entry)
+    entries = [e for e in entries if _entry_cycle(e) < max_cycles]
     entries.sort(key=_entry_cycle)  # stable: preserves script order within a cycle
     pending: list[tuple[int, str, dict]] = []  # deferred response records
 
@@ -452,6 +456,31 @@ def _run_intent(sim: Simulation, intent: TransactionIntent, pending) -> bool:
         target, intent.attribute, intent.payload, source=proc, clock=sim.cycle
     )
     return _execute_txn(sim, intent.app, txn, pending)
+
+
+def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
+    """Reject an attack the run could not carry out: a missing or unknown
+    app or target, an attribute that is not an AccessAttribute, or an
+    unknown new_level.  A cross-IP access may name an unknown app or
+    target; it then runs as a malformed transaction and is denied."""
+    p = attack.params
+    kind = attack.kind.value
+    names = {"app": sim.apps, "target": sim.objects}
+    if attack.kind is AttackKind.TAMPER_INTEGRITY_LEVEL:
+        del names["app"]
+    for key, known in names.items():
+        if key not in p:
+            if attack.kind is not AttackKind.TAMPER_INTERCONNECT_SIGNAL:
+                raise ConfigurationError(f"{kind} attack needs {key!r}")
+        elif attack.kind is not AttackKind.CROSS_IP_ACCESS and str(p[key]) not in known:
+            raise ConfigurationError(f"{kind} attack names unknown {key} {p[key]!r}")
+    if (attack.kind is AttackKind.TAMPER_INTERCONNECT_SIGNAL and "app" not in p
+            and not sim.topology.cpus[0].apps):
+        raise ConfigurationError(f"{kind} attack needs 'app': the first CPU runs no app")
+    if not isinstance(p.get("attribute", AccessAttribute.READ), AccessAttribute):
+        raise ConfigurationError(f"{kind} attack attribute must be an AccessAttribute")
+    if str(p.get("new_level", "LOW")) not in {level.value for level in IntegrityLevel}:
+        raise ConfigurationError(f"{kind} attack has unknown new_level {p['new_level']!r}")
 
 
 def _run_attack(sim: Simulation, attack: AttackInjection, pending) -> None:

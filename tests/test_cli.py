@@ -1,6 +1,10 @@
 import csv
+import io
 import json
 
+import pytest
+
+from trusttoken.puf_model import PufParams, evaluate_population
 from trusttoken.scenario_cli import bundled_config, main
 
 
@@ -80,6 +84,44 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: script entry 0: cycle") and err.count("\n") == 1
 
+    def test_non_integer_oscillator_count_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "puf.cfg"
+        cfg.write_text(bundled_config("smoke.cfg").read_text() + "puf: {oscillator_count: 512.5}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: oscillator_count must be an integer") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["forge_token", "tamper_interconnect_signal"])
+    def test_attack_on_unknown_app_exits_1(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "ghost.cfg"
+        cfg.write_text(
+            bundled_config("smoke.cfg").read_text()
+            + f"  - {{cycle: 5, type: attack, kind: {kind}, app: ghost, target: aes}}\n"
+        )
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {kind} attack names unknown app 'ghost'\n"
+
+    def test_integrity_attack_on_unknown_target_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "ghost.cfg"
+        cfg.write_text(
+            bundled_config("smoke.cfg").read_text()
+            + "  - {cycle: 5, type: attack, kind: tamper_integrity_level, target: ghost}\n"
+        )
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err == "error: tamper_integrity_level attack names unknown target 'ghost'\n"
+
+    def test_raw_attribute_is_parsed_like_access(self, tmp_path):
+        text = bundled_config("scenario1.cfg").read_text()
+        cfg = tmp_path / "attribute.cfg"
+        cfg.write_text(text.replace("target: rsa, access: r}", "target: rsa, attribute: r}"))
+        assert cfg.read_text() != text
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "a")) == 0
+        run_cli("run", "--config", str(bundled_config("scenario1.cfg")), "--out", str(tmp_path / "b"))
+        for name in ("events.log", "report.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_smoke_config(self, tmp_path):
         rc = run_cli("run", "--config", str(bundled_config("smoke.cfg")), "--out", str(tmp_path / "smoke"))
         assert rc == 0
@@ -117,6 +159,16 @@ class TestPufEval:
         assert len(rows) == 4 * (5 * 4 // 2)
         for row in rows:
             assert 0 <= int(row["distance_bits"]) <= 256
+
+    def test_hamming_csv_is_what_csv_writer_writes(self, tmp_path):
+        out = tmp_path / "puf"
+        assert run_cli("puf-eval", "--chips", "6", "--challenges", "3", "--seed", "4", "--out", str(out)) == 0
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["challenge", "chip_a", "chip_b", "distance_bits", "distance_frac"])
+        for challenge, a, b, d in evaluate_population(6, 3, 4, PufParams()).pairwise_distances:
+            writer.writerow([challenge, a, b, d, f"{d / 256:.6f}"])
+        assert (out / "hamming.csv").read_bytes() == expected.getvalue().encode()
 
     def test_too_few_chips(self, tmp_path):
         assert run_cli("puf-eval", "--chips", "1", "--out", str(tmp_path)) == 1

@@ -1,16 +1,27 @@
 import dataclasses
 import itertools
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trusttoken
 from trusttoken.errors import ParameterError
 from trusttoken.puf_model import (
+    _COMMON_MODE_VARIANCE_FRACTION,
+    _MEASUREMENT_SALT,
     Challenge,
     PufParams,
     Response,
     _campaign_draws,
+    _seed_states,
     challenge_pairs,
     evaluate_population,
     fractional_hamming,
@@ -25,6 +36,35 @@ from trusttoken.puf_model import (
 
 def bits(pattern, width=256):
     return Response((pattern * width)[:width])
+
+
+def reference_frequencies(chip_seed, params):
+    """new_chip's oracle: one default_rng per oscillator."""
+    return tuple(
+        params.nominal_frequency
+        + np.random.default_rng([chip_seed, i]).normal(0.0, params.process_variation_sigma)
+        for i in range(params.oscillator_count)
+    )
+
+
+def reference_response(chip, challenge, measurement_seed, params):
+    """measure_response's oracle: per-pair comparisons joined as '0'/'1'."""
+    observed = np.asarray(chip.base_frequencies, dtype=float)
+    if params.noise_sigma > 0:
+        rng = np.random.default_rng([measurement_seed, challenge.value, _MEASUREMENT_SALT])
+        common = rng.normal(0.0, math.sqrt(_COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma)
+        individual = rng.normal(
+            0.0,
+            math.sqrt(1.0 - _COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma,
+            size=params.oscillator_count,
+        )
+        observed = observed + common + individual
+    pairs = challenge_pairs(challenge, params)
+    return Response("".join("1" if observed[a] > observed[b] else "0" for a, b in pairs))
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+RANDOM_SEEDS = [random.Random(k).getrandbits(64) for k in range(4)]
 
 
 class TestParams:
@@ -48,6 +88,12 @@ class TestParams:
             {"process_variation_sigma": float("nan")},
             {"nominal_frequency": float("nan")},
             {"nominal_frequency": float("-inf")},
+            {"oscillator_count": 512.5},
+            {"oscillator_count": 512.0},
+            {"oscillator_count": "512"},
+            {"response_bits": 100.0},
+            {"response_bits": True},
+            {"oscillator_count": 2**32 + 1},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -82,6 +128,48 @@ class TestNewChip:
             new_chip(-1, default_params)
         with pytest.raises(ParameterError):
             new_chip(2**64, default_params)
+
+
+class TestBatchedSeeding:
+    """new_chip and measure_response against the per-oscillator and
+    per-bit reference loops."""
+
+    @pytest.mark.parametrize("chip_seed", EDGE_SEEDS + RANDOM_SEEDS)
+    def test_seed_states_match_seed_sequence(self, chip_seed):
+        states = _seed_states(chip_seed, 1000)
+        assert states.shape == (1000, 4) and states.dtype == np.uint64
+        for i in (0, 1, 2, 511, 999):
+            expected = np.random.SeedSequence([chip_seed, i]).generate_state(4, np.uint64)
+            assert states[i].tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "params", [PufParams(), PufParams(oscillator_count=1000, response_bits=100)]
+    )
+    @pytest.mark.parametrize("chip_seed", EDGE_SEEDS + RANDOM_SEEDS)
+    def test_new_chip_matches_reference(self, chip_seed, params):
+        freqs = new_chip(chip_seed, params).base_frequencies
+        assert freqs == reference_frequencies(chip_seed, params)
+        assert all(type(f) is float for f in freqs)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 1e5, 1.9e6])
+    def test_measure_response_matches_reference(self, chip, noise_sigma):
+        params = PufParams(noise_sigma=noise_sigma)
+        for cv, seed in ((0, 0), (9, 42), (65535, 7)):
+            expected = reference_response(chip, Challenge(cv), seed, params)
+            assert measure_response(chip, Challenge(cv), seed, params) == expected
+
+    def test_package_import_leaves_numpy_random_unloaded(self):
+        code = (
+            "import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "import trusttoken.scenario_cli; "
+            "print(before, 'numpy.random' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(trusttoken.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        before, after = out.stdout.split()
+        assert after == before  # numpy < 2 imports numpy.random itself
 
 
 class TestMeasureResponse:

@@ -253,6 +253,44 @@ class TestForgeAndReplay:
         assert summary.grants == 2 and summary.denies == 0
 
 
+class TestAttackChecks:
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            (AttackKind.FORGE_TOKEN, {"app": "ghost", "target": "rsa"}),
+            (AttackKind.REPLAY_STALE_TOKEN, {"app": "app4", "target": "ghost"}),
+            (AttackKind.FORGE_TOKEN, {"app": "app4"}),
+            (AttackKind.TAMPER_INTEGRITY_LEVEL, {"target": "ghost"}),
+            (AttackKind.TAMPER_INTEGRITY_LEVEL, {"target": "rsa", "new_level": "MID"}),
+            (AttackKind.TAMPER_INTERCONNECT_SIGNAL, {"target": "ghost"}),
+            (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "attribute": "r"}),
+            (AttackKind.CROSS_IP_ACCESS, {"app": "app3"}),
+        ],
+    )
+    def test_rejected_before_the_run(self, kind, params):
+        sim = build(paper_topology(), 3)
+        # the bad attack lies beyond max_cycles and is still rejected
+        with pytest.raises(ConfigurationError):
+            run(sim, benign_script() + [AttackInjection(kind, 200, params)], 100)
+        assert len(sim.log) == 0
+
+    def test_interconnect_tamper_needs_an_app_when_cpu0_runs_none(self):
+        topology = Topology(
+            cpus=(CpuSpec("cpu0", ()), CpuSpec("cpu1", ("app1",))),
+            wrapped_ips=(IpSpec("AES", "aes"),),
+            app_to_ip={"app1": "aes"},
+        )
+        attack = AttackInjection(AttackKind.TAMPER_INTERCONNECT_SIGNAL, 5)
+        with pytest.raises(ConfigurationError):
+            run(build(topology, 3), [attack], 100)
+
+    def test_cross_ip_access_to_unknown_names_is_denied(self):
+        attack = AttackInjection(AttackKind.CROSS_IP_ACCESS, 10, {"app": "ghost", "target": "rsa"})
+        summary = report(run(build(paper_topology(), 3), [attack], 100))
+        assert summary.verdict == "BLOCKED"
+        assert dict(summary.denials_by_reason) == {"malformed": 1}
+
+
 class TestIsolationSoundness:
     def test_grants_only_for_own_mapped_ip(self):
         # all wrappers HIGH: every grant must be app -> its own mapped IP
