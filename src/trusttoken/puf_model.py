@@ -311,15 +311,17 @@ class PopulationMetrics:
 
     n_chips: int
     n_challenges: int
+    response_bits: int
     uniqueness_pct: float
     randomness_pct: float
     reliability_pct: float
     pairwise_distances: tuple[tuple[int, int, int, int], ...]  # (challenge, chip_a, chip_b, bits)
 
-    def fraction_in_band(self, lo: float = 0.40, hi: float = 0.60, width: int = 256) -> float:
+    def fraction_in_band(self, lo: float = 0.40, hi: float = 0.60) -> float:
         """Fraction of pairwise distances inside the [lo, hi] fractional band."""
         if not self.pairwise_distances:
             return 0.0
+        width = self.response_bits
         inside = sum(1 for _, _, _, d in self.pairwise_distances if lo * width <= d <= hi * width)
         return inside / len(self.pairwise_distances)
 
@@ -371,6 +373,7 @@ def evaluate_population(
     return PopulationMetrics(
         n_chips=n_chips,
         n_challenges=n_challenges,
+        response_bits=width,
         uniqueness_pct=100.0 * (dist_total / width) / len(pairwise),
         randomness_pct=100.0 * ones_total / width / (n_chips * n_challenges),
         reliability_pct=rel,

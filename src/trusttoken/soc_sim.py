@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
@@ -51,6 +52,8 @@ MODE_BASELINE = "trustzone-baseline"
 MODES = (MODE_TRUSTTOKEN, MODE_BASELINE)
 
 FULL_ACCESS = AccessAttribute.READ | AccessAttribute.WRITE | AccessAttribute.EXECUTE
+
+_encode_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses
 
 
 # --------------------------------------------------------------------------
@@ -140,41 +143,48 @@ def _entry_cycle(entry: ScriptEntry) -> int:
 # event log
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    cycle: int
-    actor: str
-    kind: str
-    detail: tuple[tuple[str, object], ...]
-
-    def to_line(self) -> str:
-        return f"{self.cycle}\t{self.actor}\t{self.kind}\t" + json.dumps(
-            dict(self.detail), sort_keys=True
-        )
-
-
 class EventLog:
-    """Append-only, cycle-monotonic record of a simulation run."""
+    """Append-only, cycle-monotonic record of a simulation run.  Each event
+    becomes its ``events.log`` line as it arrives, and the counters that
+    :func:`report` reads are updated at the same time."""
 
     def __init__(self):
-        self._records: list[EventRecord] = []
+        self._lines: list[str] = []
+        self._cycle = 0
+        self._counts: dict[str, int] = {}  # events per kind, transitions per outcome
+        self._reasons: dict[str, int] = {}  # denies and denied transitions per reason
+        self._costs: dict[int, int] = {}  # grants and denies per cycle cost
 
-    def append(self, cycle: int, actor: str, kind: str, **detail) -> EventRecord:
-        if self._records and cycle < self._records[-1].cycle:
+    def append(self, cycle: int, actor: str, kind: str, **detail) -> None:
+        if self._lines and cycle < self._cycle:
             raise SimulationFault("event log cycles must be non-decreasing")
-        record = EventRecord(cycle, actor, kind, tuple(sorted(detail.items())))
-        self._records.append(record)
-        return record
+        self._cycle = cycle
+        # the text of json.dumps(detail, sort_keys=True), with str and int
+        # values encoded directly
+        fields = []
+        for key in sorted(detail):
+            value = detail[key]
+            if type(value) is str:
+                value = _encode_str(value)
+            elif type(value) is not int:
+                value = json.dumps(value)
+            fields.append(f"{_encode_str(key)}: {value}")
+        self._lines.append(f"{cycle}\t{actor}\t{kind}\t{{{', '.join(fields)}}}\n")
 
-    @property
-    def records(self) -> tuple[EventRecord, ...]:
-        return tuple(self._records)
+        if kind == "transition":
+            kind += "_granted" if detail["status"] == "granted" else "_denied"
+        self._counts[kind] = self._counts.get(kind, 0) + 1
+        if kind == "grant" or kind == "deny":
+            self._costs[detail["cost"]] = self._costs.get(detail["cost"], 0) + 1
+        if kind == "deny" or kind == "transition_denied":
+            reason = detail.get("reason", "unknown")
+            self._reasons[reason] = self._reasons.get(reason, 0) + 1
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._lines)
 
     def to_text(self) -> str:
-        return "".join(r.to_line() + "\n" for r in self._records)
+        return "".join(self._lines)
 
 
 # --------------------------------------------------------------------------
@@ -192,6 +202,7 @@ class Simulation:
         self.params = params
         self.cycle = 0
         self.log = EventLog()
+        self.ran = False  # run() may drive a simulation once
         self.epoch = 0
         self._scheduled: list[AttackInjection] = []
         self._forge_serial = 0
@@ -378,24 +389,26 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
 
     Every transaction intent yields exactly one issue and one grant/deny
     record; granted payloads produce a response record cycle_cost cycles
-    later.  Entries at or beyond max_cycles have no effect.
+    later.  Entries at or beyond max_cycles have no effect.  A simulation
+    runs once; a second call raises SimulationFault.
     """
+    if sim.ran:
+        raise SimulationFault("this simulation has already run; build a new one")
+    sim.ran = True
     entries = list(script) + sim._scheduled
     for entry in entries:
         if isinstance(entry, AttackInjection):
             _check_attack(sim, entry)
     entries = [e for e in entries if _entry_cycle(e) < max_cycles]
     entries.sort(key=_entry_cycle)  # stable: preserves script order within a cycle
-    pending: list[tuple[int, str, dict]] = []  # deferred response records
+    # deferred response records (due cycle, FIFO tie-break, actor, detail), sorted
+    pending: list[tuple[int, int, str, dict]] = []
 
     def flush(up_to: int) -> None:
-        keep = []
-        for when, actor, detail in pending:
-            if when <= up_to:
-                sim.log.append(when, actor, "response", **detail)
-            else:
-                keep.append((when, actor, detail))
-        pending[:] = keep
+        due = bisect_left(pending, (up_to + 1,))  # records due at or before up_to
+        for when, _, actor, detail in pending[:due]:
+            sim.log.append(when, actor, "response", **detail)
+        del pending[:due]
 
     for entry in entries:
         cycle = _entry_cycle(entry)
@@ -424,13 +437,11 @@ def _execute_txn(sim: Simulation, actor: str, txn: WrappedTransaction, pending) 
         )
         wrapper = sim.registry[txn.target]
         response = wrapper.deliver(txn, outcome)
-        pending.append(
-            (
-                sim.cycle + outcome.cycle_cost,
-                target_name,
-                {"to": actor, "bytes": (response or b"").hex()},
-            )
-        )
+        # the grant just logged makes len(sim.log) a unique, rising tie-break
+        insort(pending, (
+            sim.cycle + outcome.cycle_cost, len(sim.log), target_name,
+            {"to": actor, "bytes": (response or b"").hex()},
+        ))
         return True
     sim.log.append(
         sim.cycle, "controller", "deny",
@@ -459,12 +470,17 @@ def _run_intent(sim: Simulation, intent: TransactionIntent, pending) -> bool:
 
 
 def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
-    """Reject an attack the run could not carry out: a missing or unknown
-    app or target, an attribute that is not an AccessAttribute, or an
-    unknown new_level.  A cross-IP access may name an unknown app or
-    target; it then runs as a malformed transaction and is denied."""
+    """Reject an attack the run could not carry out: a param key that is
+    not a str or that clashes with a field of its attack_fired record, a
+    missing or unknown app or target, an attribute that is not an
+    AccessAttribute, or an unknown new_level.  A cross-IP access may name
+    an unknown app or target; it then runs as a malformed transaction and
+    is denied."""
     p = attack.params
     kind = attack.kind.value
+    for key in p:
+        if not isinstance(key, str) or key in ("attack", "actor", "cycle", "kind"):
+            raise ConfigurationError(f"{kind} attack has reserved or non-string param {key!r}")
     names = {"app": sim.apps, "target": sim.objects}
     if attack.kind is AttackKind.TAMPER_INTEGRITY_LEVEL:
         del names["app"]
@@ -601,30 +617,11 @@ class SummaryReport:
 
 
 def report(log: EventLog) -> SummaryReport:
-    """Summarize a run: grant/deny totals, attack verdict, cost histogram."""
-    grants = denies = fired = blocked = t_granted = t_denied = 0
-    reasons: dict[str, int] = {}
-    costs: dict[int, int] = {}
-    for rec in log.records:
-        detail = dict(rec.detail)
-        if rec.kind == "grant":
-            grants += 1
-            costs[detail["cost"]] = costs.get(detail["cost"], 0) + 1
-        elif rec.kind == "deny":
-            denies += 1
-            reasons[detail["reason"]] = reasons.get(detail["reason"], 0) + 1
-            costs[detail["cost"]] = costs.get(detail["cost"], 0) + 1
-        elif rec.kind == "transition":
-            if detail["status"] == "granted":
-                t_granted += 1
-            else:
-                t_denied += 1
-                reason = detail.get("reason", "unknown")
-                reasons[reason] = reasons.get(reason, 0) + 1
-        elif rec.kind == "attack_fired":
-            fired += 1
-        elif rec.kind == "attack_blocked":
-            blocked += 1
+    """Summarize a run from the log's counters: grant/deny totals, attack
+    verdict, cost histogram."""
+    counts = log._counts
+    fired = counts.get("attack_fired", 0)
+    blocked = counts.get("attack_blocked", 0)
     if fired == 0:
         verdict = "NONE"
     elif blocked == fired:
@@ -632,13 +629,13 @@ def report(log: EventLog) -> SummaryReport:
     else:
         verdict = "BREACHED"
     return SummaryReport(
-        grants=grants,
-        denies=denies,
-        denials_by_reason=tuple(sorted(reasons.items())),
-        transitions_granted=t_granted,
-        transitions_denied=t_denied,
+        grants=counts.get("grant", 0),
+        denies=counts.get("deny", 0),
+        denials_by_reason=tuple(sorted(log._reasons.items())),
+        transitions_granted=counts.get("transition_granted", 0),
+        transitions_denied=counts.get("transition_denied", 0),
         attacks_fired=fired,
         attacks_blocked=blocked,
         verdict=verdict,
-        cycle_cost_histogram=tuple(sorted(costs.items())),
+        cycle_cost_histogram=tuple(sorted(log._costs.items())),
     )

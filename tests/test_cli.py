@@ -112,6 +112,38 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == "error: tamper_integrity_level attack names unknown target 'ghost'\n"
 
+    @pytest.mark.parametrize(
+        "extra, key", [("attack: forge_token", "'attack'"), ("actor: mallory", "'actor'"), ("1: x", "1")]
+    )
+    def test_attack_param_the_event_log_cannot_take_exits_1(self, tmp_path, capsys, extra, key):
+        cfg = tmp_path / "param.cfg"
+        cfg.write_text(
+            bundled_config("smoke.cfg").read_text()
+            + f"  - {{cycle: 5, type: attack, kind: forge_token, app: app1, target: aes, {extra}}}\n"
+        )
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: forge_token attack has reserved or non-string param {key}\n"
+
+    def test_responses_are_logged_in_cycle_order(self, tmp_path):
+        # the HIGH access's response (cost 2) is due after the LOW one's
+        # (cost 1) although it was granted first in the same cycle
+        cfg = tmp_path / "order.cfg"
+        cfg.write_text(
+            "seed: 7\nmax_cycles: 100\ntopology:\n"
+            "  cpus: [{name: cpu0, apps: [app1, app2]}]\n"
+            "  ips: [{stub: AES, object: aes}, {stub: DES, object: des, integrity: LOW}]\n"
+            "  app_map: {app1: aes, app2: des}\n"
+            "script:\n"
+            "  - {cycle: 1, type: access, app: app1, target: aes, access: r}\n"
+            "  - {cycle: 1, type: access, app: app2, target: des, access: r}\n"
+            "  - {cycle: 3, type: access, app: app1, target: aes, access: r}\n"
+        )
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+        lines = [line.split("\t") for line in (tmp_path / "o" / "events.log").read_text().splitlines()]
+        assert [(c, actor) for c, actor, kind, _ in lines if kind == "response"] == [
+            ("2", "des"), ("3", "aes"), ("5", "aes")
+        ]
+
     def test_raw_attribute_is_parsed_like_access(self, tmp_path):
         text = bundled_config("scenario1.cfg").read_text()
         cfg = tmp_path / "attribute.cfg"

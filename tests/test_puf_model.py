@@ -307,6 +307,11 @@ class TestPopulationBand:
                 count += 1
         assert 0.40 <= total / count <= 0.60
 
+    def test_band_is_measured_at_the_response_width(self):
+        metrics = evaluate_population(6, 2, 1, PufParams(oscillator_count=200, response_bits=100))
+        assert metrics.response_bits == 100
+        assert metrics.fraction_in_band() == 1.0
+
 
 class TestPopulationKernel:
     """The array pass of evaluate_population and uniqueness against scalar

@@ -1,9 +1,23 @@
-import pytest
+import json
 
-from trusttoken.errors import ConfigurationError, SimulationFault
+import log_oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from log_oracle import records
+
+from trusttoken.errors import ConfigurationError, SimulationFault, TrustTokenError
 from trusttoken.policy_engine import AccessAttribute, IntegrityLevel
+from trusttoken.scenario_cli import (
+    bundled_config,
+    load_config,
+    parse_puf_params,
+    parse_script,
+    parse_topology,
+)
 from trusttoken.soc_sim import (
     MODE_BASELINE,
+    MODES,
     AttackInjection,
     AttackKind,
     CpuSpec,
@@ -55,7 +69,7 @@ def cross_attack(cycle=20):
 
 
 def kinds(log):
-    return [r.kind for r in log.records]
+    return [r.kind for r in records(log)]
 
 
 class TestBuild:
@@ -109,7 +123,7 @@ class TestRun:
 
     def test_cycle_monotonic(self):
         log = run(build(paper_topology(), 3), benign_script() + [cross_attack()], 100)
-        cycles = [r.cycle for r in log.records]
+        cycles = [r.cycle for r in records(log)]
         assert cycles == sorted(cycles)
 
     def test_determinism_byte_identical(self):
@@ -127,7 +141,7 @@ class TestRun:
 
     def test_response_visible_after_cycle_cost(self):
         log = run(build(paper_topology(), 3), [TransactionIntent(10, "app1", "aes", R, b"z")], 100)
-        responses = [r for r in log.records if r.kind == "response"]
+        responses = [r for r in records(log) if r.kind == "response"]
         assert len(responses) == 1
         assert responses[0].cycle == 12  # issue at 10 + cost 2
 
@@ -136,6 +150,14 @@ class TestRun:
         log.append(5, "x", "issue")
         with pytest.raises(SimulationFault):
             log.append(4, "x", "issue")
+
+    def test_second_run_is_refused(self):
+        sim = build(paper_topology(), 3)
+        inject_awprot_style_tamper(sim, "AWPROT", 50, target="rsa")
+        text = run(sim, benign_script(), 100).to_text()
+        with pytest.raises(TrustTokenError, match="already run"):
+            run(sim, benign_script(), 100)
+        assert sim.log.to_text() == text
 
 
 class TestScenario1:
@@ -218,7 +240,7 @@ class TestAwprotInjection:
         sim = build(paper_topology(), 3)
         inject_awprot_style_tamper(sim, "AWPROT", 500, target="rsa")
         log = run(sim, [], 100)
-        assert len(log.records) == 0
+        assert len(log) == 0
 
 
 class TestForgeAndReplay:
@@ -265,6 +287,12 @@ class TestAttackChecks:
             (AttackKind.TAMPER_INTERCONNECT_SIGNAL, {"target": "ghost"}),
             (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "attribute": "r"}),
             (AttackKind.CROSS_IP_ACCESS, {"app": "app3"}),
+            # keys the attack_fired record cannot take
+            (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "attack": "x"}),
+            (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "actor": "x"}),
+            (AttackKind.REPLAY_STALE_TOKEN, {"app": "app4", "target": "rsa", "cycle": 3}),
+            (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "kind": "x"}),
+            (AttackKind.TAMPER_INTEGRITY_LEVEL, {"target": "rsa", 1: "x"}),
         ],
     )
     def test_rejected_before_the_run(self, kind, params):
@@ -300,10 +328,9 @@ class TestIsolationSoundness:
             AttackInjection(AttackKind.FORGE_TOKEN, 30, {"app": "app3", "target": "rsa"}),
         ]
         log = run(build(topo, 3), script, 100)
-        for rec in log.records:
+        for rec in records(log):
             if rec.kind == "grant":
-                detail = dict(rec.detail)
-                assert topo.app_to_ip[detail["source"]] == detail["target"]
+                assert topo.app_to_ip[rec.detail["source"]] == rec.detail["target"]
 
 
 class TestLowIntegrity:
@@ -329,3 +356,96 @@ class TestReport:
     def test_cost_histogram(self):
         log = run(build(paper_topology(), 3), benign_script(), 100)
         assert dict(report(log).cycle_cost_histogram) == {2: 5}
+
+
+# Text with the characters JSON must escape: quotes, backslashes, control
+# characters and non-ASCII, in keys as well as values.
+_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\té\u2028€😀'), st.characters()))
+
+
+class TestEventLine:
+    @given(
+        detail=st.dictionaries(
+            _text.filter(lambda k: k not in ("cycle", "actor", "kind")),
+            st.one_of(_text, st.integers(), st.booleans(), st.none(), st.floats()),
+        ),
+    )
+    @settings(max_examples=100)
+    def test_line_is_json_dumps_of_the_detail(self, detail):
+        log = EventLog()
+        log.append(7, "app1", "issue", **detail)
+        assert log.to_text() == "7\tapp1\tissue\t" + json.dumps(dict(detail), sort_keys=True) + "\n"
+
+
+def _run_config(name, mode):
+    config = load_config(bundled_config(name))
+    sim = build(parse_topology(config["topology"]), config.get("seed", 0), mode=mode,
+                params=parse_puf_params(config.get("puf")))
+    return run(sim, parse_script(config["script"]), config.get("max_cycles", 10_000))
+
+
+APPS = ("app1", "app2", "app3", "app4", "app5")
+OBJECTS = ("aes", "des", "trng", "rsa")
+_app = st.sampled_from(APPS)
+_target = st.sampled_from(OBJECTS)
+_attribute = st.sampled_from([R, AccessAttribute.WRITE, RWE])
+# spaced so that several entries share a cycle and deferred responses pile up
+_cycle = st.integers(0, 10).map(lambda c: 3 * c)
+_attack_params = {
+    AttackKind.FORGE_TOKEN: st.fixed_dictionaries(
+        {"app": _app, "target": _target, "flip_bit": st.integers(0, 255)}),
+    AttackKind.REPLAY_STALE_TOKEN: st.fixed_dictionaries({"app": _app, "target": _target}),
+    AttackKind.CROSS_IP_ACCESS: st.fixed_dictionaries({
+        "app": st.sampled_from(APPS + ("ghost",)),
+        "target": st.sampled_from(OBJECTS + ("ghost",)),
+        "attribute": _attribute,
+    }),
+    AttackKind.TAMPER_INTEGRITY_LEVEL: st.fixed_dictionaries({
+        "target": _target,
+        "new_level": st.sampled_from(["LOW", "HIGH"]),
+        "token": st.sampled_from(["none", "stolen"]),
+    }),
+    AttackKind.TAMPER_INTERCONNECT_SIGNAL: st.fixed_dictionaries({"app": _app, "target": _target}),
+}
+# half of the accesses go to the app's own IP, so that many are granted
+_route = st.one_of(
+    st.sampled_from(sorted(paper_topology().app_to_ip.items())),
+    st.tuples(st.sampled_from(APPS + ("ghost",)), st.sampled_from(OBJECTS + ("ghost",))),
+)
+_access = st.builds(lambda cycle, route, attribute, payload:
+                    TransactionIntent(cycle, *route, attribute, payload),
+                    _cycle, _route, _attribute, st.binary(max_size=4))
+_other = st.one_of(
+    st.builds(ReprovisionEvent, _cycle),
+    *(st.builds(AttackInjection, st.just(kind), _cycle, params)
+      for kind, params in _attack_params.items()),
+)
+_entry = st.booleans().flatmap(lambda access: _access if access else _other)  # half accesses
+
+
+class TestLiveCounters:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", ["scenario1.cfg", "scenario2.cfg", "scenario3.cfg", "smoke.cfg"])
+    def test_bundled_scenarios_match_the_scanning_report(self, name, mode):
+        log = _run_config(name, mode)
+        assert report(log) == log_oracle.report(log)
+
+    @given(
+        script=st.lists(_entry, min_size=8, max_size=40),
+        mode=st.sampled_from(MODES),
+        levels=st.lists(st.sampled_from(IntegrityLevel), min_size=4, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_scripts_match_the_scanning_report(self, script, mode, levels, seed):
+        topology = paper_topology()
+        topology = Topology(
+            cpus=topology.cpus,
+            wrapped_ips=tuple(IpSpec(ip.stub, ip.object, level)
+                              for ip, level in zip(topology.wrapped_ips, levels)),
+            app_to_ip=topology.app_to_ip,
+        )
+        log = run(build(topology, seed, mode=mode), script, 25)
+        assert report(log) == log_oracle.report(log)
+        cycles = [r.cycle for r in records(log)]
+        assert cycles == sorted(cycles)
