@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntFlag
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 from .errors import ConstructionError, MatrixTamperError, ParameterError
 
@@ -48,11 +48,6 @@ def attribute_from_str(text: str) -> AccessAttribute:
 class IntegrityLevel(Enum):
     HIGH = "HIGH"
     LOW = "LOW"
-
-
-class Verdict(Enum):
-    YES = "yes"
-    NO = "no"
 
 
 class DenialReason(Enum):
@@ -126,53 +121,6 @@ class AccessRequest:
 
 
 @dataclass(frozen=True)
-class Decision:
-    verdict: Verdict
-    reason: Optional[DenialReason] = None
-
-    def __post_init__(self):
-        if self.verdict is Verdict.YES and self.reason is not None:
-            raise ParameterError("a yes decision carries no denial reason")
-
-    @property
-    def granted(self) -> bool:
-        return self.verdict is Verdict.YES
-
-
-GRANT = Decision(Verdict.YES)
-
-
-def deny(reason: DenialReason) -> Decision:
-    return Decision(Verdict.NO, reason)
-
-
-class CredentialChecker(Protocol):
-    """Read-only credential verification view over a provisioned token table."""
-
-    def check_credentials(self, obj: ObjectId, ip_id, token) -> Optional[DenialReason]: ...
-
-
-class StaticCredentialStore:
-    """Plain dict-backed credential view, for tests and standalone policy use."""
-
-    def __init__(self, entries: Mapping[ObjectId, tuple]):
-        self._entries = dict(entries)
-
-    def __contains__(self, obj: ObjectId) -> bool:
-        return obj in self._entries
-
-    def check_credentials(self, obj, ip_id, token) -> Optional[DenialReason]:
-        if obj not in self._entries:
-            return DenialReason.MALFORMED
-        stored_id, stored_token = self._entries[obj]
-        if token != stored_token:
-            return DenialReason.TOKEN_MISMATCH
-        if ip_id != stored_id:
-            return DenialReason.ID_MISMATCH
-        return None
-
-
-@dataclass(frozen=True)
 class SystemModel:
     users: tuple[UserId, ...]
     processes: tuple[ProcessId, ...]
@@ -200,12 +148,6 @@ class SystemModel:
         """The matrix rule: the process's cell for obj holds every requested bit."""
         matrix, row = self._rows[process]
         return attribute & matrix.cell(row, self._cols[obj]) == attribute
-
-    def matrix_for(self, user: UserId) -> AccessMatrix:
-        for owner, matrix in self.matrices:
-            if owner == user:
-                return matrix
-        raise ParameterError(f"no matrix for {user}")
 
     def sealed(self) -> "SystemModel":
         """Leave the design phase: integrator modifications are rejected after this."""
@@ -274,32 +216,29 @@ def classify_integrity(attribute: AccessAttribute) -> bool:
     return bool(attribute & (AccessAttribute.WRITE | AccessAttribute.EXECUTE))
 
 
-def evaluate(
-    model: SystemModel,
-    request: AccessRequest,
-    credentials: CredentialChecker,
-    strict: bool = True,
-) -> Decision:
-    """Decide one access request.
+def evaluate(model: SystemModel, request: AccessRequest, credentials) -> Optional[DenialReason]:
+    """Decide one access request: None grants it, a reason denies it.
 
-    Stages run in one fixed order, part of the observable reason contract:
-    unknown reference, foreign process, credentials (MALFORMED for an
-    unprovisioned object), strict empty attribute, matrix rule (``covers``).
-    ``authorize`` runs all of them on every HIGH target; the simulator's
-    baseline mode runs only an unknown-target check and the matrix rule.
+    ``credentials`` answers ``check_credentials(obj, ip_id, token)`` with a
+    reason or None, as a ``TokenTable`` does.  Stages run in one fixed
+    order, part of the observable reason contract: unknown reference,
+    foreign process, credentials (MALFORMED for an unprovisioned object),
+    empty attribute, matrix rule (``covers``).  ``authorize`` runs all of
+    them on every HIGH target; the simulator's baseline mode runs only an
+    unknown-target check and the matrix rule.
     """
     if not model.knows(request.user, request.process, request.object):
-        return deny(DenialReason.MALFORMED)
+        return DenialReason.MALFORMED
     if request.process.owner != request.user:
-        return deny(DenialReason.FOREIGN_PROCESS)
+        return DenialReason.FOREIGN_PROCESS
     cred_reason = credentials.check_credentials(request.object, request.ip_id, request.token)
     if cred_reason is not None:
-        return deny(cred_reason)
-    if strict and not (classify_confidentiality(request.attribute) or classify_integrity(request.attribute)):
-        return deny(DenialReason.MALFORMED)
+        return cred_reason
+    if not (classify_confidentiality(request.attribute) or classify_integrity(request.attribute)):
+        return DenialReason.MALFORMED
     if not model.covers(request.process, request.object, request.attribute):
-        return deny(DenialReason.MATRIX_DENY)
-    return GRANT
+        return DenialReason.MATRIX_DENY
+    return None
 
 
 def modify_matrix(

@@ -106,20 +106,17 @@ class Challenge:
 
 @dataclass(frozen=True)
 class Response:
-    """Fixed-width bitstring response."""
+    """Fixed-width response, packed into an int whose most significant bit
+    is bit 0 of the readout."""
 
-    bits: str
+    bits: int
+    width: int
 
     def __post_init__(self):
-        if not self.bits or set(self.bits) - {"0", "1"}:
-            raise ParameterError("response bits must be a non-empty string of 0/1")
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
-
-    def as_int(self) -> int:
-        return int(self.bits, 2)
+        if not isinstance(self.width, int) or self.width < 1:
+            raise ParameterError(f"response width must be a positive integer, got {self.width!r}")
+        if not isinstance(self.bits, int) or not 0 <= self.bits < 1 << self.width:
+            raise ParameterError(f"response bits must be an int of {self.width} bits")
 
 
 def _hash_steps(const: int, mult: int):
@@ -213,9 +210,10 @@ def measure_response(
     """One readout of the chip for the given challenge.
 
     bit_j = 1 iff observed frequency of pair element a exceeds that of b;
-    exact ties give 0.  Measurement noise is drawn per (seed, challenge)
-    with per-oscillator sigma = noise_sigma, split into a common-mode part
-    and an independent part.
+    exact ties give 0; bit 0 is the most significant bit of the result.
+    Measurement noise is drawn per (seed, challenge) with per-oscillator
+    sigma = noise_sigma, split into a common-mode part and an independent
+    part.
     """
     _check_u64(measurement_seed, "measurement_seed")
     if len(chip.base_frequencies) != params.oscillator_count:
@@ -232,14 +230,17 @@ def measure_response(
         observed = observed + common + individual
     pairs = challenge_pairs(challenge, params)
     above = observed[pairs[:, 0]] > observed[pairs[:, 1]]
-    return Response((above.view(np.uint8) + ord("0")).tobytes().decode("ascii"))
+    width = params.response_bits
+    # packbits fills the last byte's low bits with zeros: shift them off
+    packed = int.from_bytes(np.packbits(above).tobytes(), "big")
+    return Response(packed >> -width % 8, width)
 
 
 def hamming_distance(a: Response, b: Response) -> int:
     """Number of differing bits between two equal-width responses."""
     if a.width != b.width:
         raise ParameterError(f"width mismatch: {a.width} != {b.width}")
-    return (a.as_int() ^ b.as_int()).bit_count()
+    return (a.bits ^ b.bits).bit_count()
 
 
 def fractional_hamming(a: Response, b: Response) -> float:
@@ -282,7 +283,7 @@ def uniqueness(chips, challenge: Challenge, params: PufParams) -> float:
 
 def randomness(response: Response) -> float:
     """Fraction of 1-bits in a response, in percent (ideal 50%)."""
-    return 100.0 * response.bits.count("1") / response.width
+    return 100.0 * response.bits.bit_count() / response.width
 
 
 def reliability(

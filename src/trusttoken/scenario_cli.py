@@ -59,7 +59,7 @@ def parse_topology(section: dict) -> Topology:
             CpuSpec(
                 name=str(c["name"]),
                 apps=tuple(str(a) for a in c.get("apps", [])),
-                user=c.get("user"),
+                user=None if c.get("user") is None else str(c["user"]),
             )
             for c in section["cpus"]
         )
@@ -72,7 +72,7 @@ def parse_topology(section: dict) -> Topology:
             for ip in section["ips"]
         )
         app_map = {str(k): str(v) for k, v in section["app_map"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"topology section: {exc!r}") from exc
     return Topology(cpus=cpus, wrapped_ips=ips, app_to_ip=app_map)
 
@@ -109,7 +109,7 @@ def parse_script(entries) -> list:
                 script.append(
                     AttackInjection(
                         kind=AttackKind(str(raw["kind"])),
-                        trigger_cycle=cycle,
+                        cycle=cycle,
                         params=params,
                     )
                 )
@@ -117,7 +117,7 @@ def parse_script(entries) -> list:
                 script.append(ReprovisionEvent(cycle=cycle))
             else:
                 raise ConfigurationError(f"unknown script entry type {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"script entry {i}: {exc!r}") from exc
     return script
 
@@ -125,6 +125,8 @@ def parse_script(entries) -> list:
 def parse_puf_params(section) -> PufParams:
     if not section:
         return PufParams()
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"puf section must be a mapping, got {section!r}")
     try:
         return PufParams(**{k: v for k, v in section.items()})
     except TypeError as exc:
@@ -134,7 +136,7 @@ def parse_puf_params(section) -> PufParams:
 def _config_int(value, key: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{key} must be an integer, got {value!r}") from exc
 
 

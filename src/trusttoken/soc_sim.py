@@ -35,7 +35,6 @@ from .puf_model import PufParams, new_chip
 from .token_authority import (
     ZERO_TOKEN,
     AuthorizationOutcome,
-    Token,
     authorize,
     provision,
     request_integrity_transition,
@@ -123,7 +122,7 @@ class TransactionIntent:
 @dataclass(frozen=True)
 class AttackInjection:
     kind: AttackKind
-    trigger_cycle: int
+    cycle: int
     params: Mapping[str, object] = field(default_factory=dict)
 
 
@@ -133,10 +132,6 @@ class ReprovisionEvent:
 
 
 ScriptEntry = Union[TransactionIntent, AttackInjection, ReprovisionEvent]
-
-
-def _entry_cycle(entry: ScriptEntry) -> int:
-    return entry.trigger_cycle if isinstance(entry, AttackInjection) else entry.cycle
 
 
 # --------------------------------------------------------------------------
@@ -204,8 +199,7 @@ class Simulation:
         self.log = EventLog()
         self.ran = False  # run() may drive a simulation once
         self.epoch = 0
-        self._scheduled: list[AttackInjection] = []
-        self._forge_serial = 0
+        self._forge_serial = 0  # forged transactions count down from -1
 
         # name <-> id resolution
         self.users: dict[str, UserId] = {}
@@ -281,7 +275,7 @@ class Simulation:
             ip_id, token = self.table.release_credentials(obj)
             self.registry[obj].install_credentials(ip_id, token)
             if initial:
-                # boot-time snapshot used only by the explicit attack APIs
+                # boot-time credentials that forge, replay and stolen-token attacks reuse
                 self._attack_surface[self.object_names[obj]] = (ip_id, token)
 
     def state_digest(self) -> str:
@@ -299,7 +293,7 @@ class Simulation:
     def _authorize(self, txn: WrappedTransaction) -> AuthorizationOutcome:
         """Decide one transaction: ``authorize`` in trusttoken mode, which
         runs every ``evaluate`` stage (unknown reference, foreign process,
-        credentials, strict empty attribute, matrix) on HIGH targets.  The
+        credentials, empty attribute, matrix) on HIGH targets.  The
         token-free baseline runs a subset, all at cycle cost 1: unknown
         target -> MALFORMED; the bypass flags (interconnect check disabled,
         or the target's protection signal cleared) -> grant; then the shared
@@ -314,34 +308,6 @@ class Simulation:
             return AuthorizationOutcome(True, 1, serial=txn.serial)
         return AuthorizationOutcome(False, 1, DenialReason.MATRIX_DENY, serial=txn.serial)
 
-    # -- attack construction (explicit injection surface) ------------------
-
-    def _next_forge_serial(self) -> int:
-        self._forge_serial -= 1
-        return self._forge_serial
-
-    def forged_transaction(
-        self,
-        app: str,
-        target: str,
-        attribute: AccessAttribute,
-        token: Token,
-        ip_id,
-        payload: bytes = b"",
-    ) -> WrappedTransaction:
-        """Build a transaction with attacker-chosen sideband signals,
-        bypassing the wrapper (the only forgery path in the simulator)."""
-        sideband = SidebandSignals(token, ip_id, IntegrityLevel.HIGH)
-        return WrappedTransaction(
-            source=self.apps[app],
-            target=self.objects[target],
-            kind=attribute,
-            payload=payload,
-            sideband=sideband,
-            issue_cycle=self.cycle,
-            serial=self._next_forge_serial(),
-        )
-
 
 def build(topology: Topology, master_seed: int, mode: str = MODE_TRUSTTOKEN,
           params: Optional[PufParams] = None) -> Simulation:
@@ -353,33 +319,6 @@ def build(topology: Topology, master_seed: int, mode: str = MODE_TRUSTTOKEN,
     return Simulation(topology, master_seed, mode, params or PufParams())
 
 
-def inject_awprot_style_tamper(
-    sim: Simulation, target_signal: str, cycle: int, target: Optional[str] = None
-) -> None:
-    """Schedule an in-flight protection-signal mutation (the classic CAD
-    tool attack on AXI AWPROT/ARPROT).  Under token semantics it becomes
-    an unauthenticated integrity-level transition request; in baseline
-    mode it rewrites the signal directly."""
-    if target_signal.upper() not in ("AWPROT", "ARPROT"):
-        raise ConfigurationError(f"unknown interconnect signal {target_signal!r}")
-    if target is None:
-        target = sim.topology.wrapped_ips[0].object
-    if target not in sim.objects:
-        raise ConfigurationError(f"unknown target object {target!r}")
-    sim._scheduled.append(
-        AttackInjection(
-            kind=AttackKind.TAMPER_INTEGRITY_LEVEL,
-            trigger_cycle=cycle,
-            params={
-                "target": target,
-                "new_level": "LOW",
-                "token": "none",
-                "signal": target_signal.upper(),
-            },
-        )
-    )
-
-
 # --------------------------------------------------------------------------
 # run loop
 
@@ -389,18 +328,25 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
 
     Every transaction intent yields exactly one issue and one grant/deny
     record; granted payloads produce a response record cycle_cost cycles
-    later.  Entries at or beyond max_cycles have no effect.  A simulation
+    later.  Entries at or beyond max_cycles have no effect, but every
+    attack and access is checked before the first event.  A simulation
     runs once; a second call raises SimulationFault.
     """
     if sim.ran:
         raise SimulationFault("this simulation has already run; build a new one")
     sim.ran = True
-    entries = list(script) + sim._scheduled
-    for entry in entries:
-        if isinstance(entry, AttackInjection):
+    for i, entry in enumerate(script):
+        access = None
+        if isinstance(entry, TransactionIntent):
+            access = entry.attribute
+        elif isinstance(entry, AttackInjection):
             _check_attack(sim, entry)
-    entries = [e for e in entries if _entry_cycle(e) < max_cycles]
-    entries.sort(key=_entry_cycle)  # stable: preserves script order within a cycle
+            if entry.kind is AttackKind.CROSS_IP_ACCESS:
+                access = entry.params.get("attribute", AccessAttribute.READ)
+        if access == AccessAttribute.NONE:
+            raise ConfigurationError(f"script entry {i}: an access needs at least one access bit")
+    # sorted is stable: it keeps script order within a cycle
+    entries = sorted((e for e in script if e.cycle < max_cycles), key=lambda e: e.cycle)
     # deferred response records (due cycle, FIFO tie-break, actor, detail), sorted
     pending: list[tuple[int, int, str, dict]] = []
 
@@ -411,7 +357,7 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
         del pending[:due]
 
     for entry in entries:
-        cycle = _entry_cycle(entry)
+        cycle = entry.cycle
         flush(cycle)
         sim.cycle = cycle
         if isinstance(entry, TransactionIntent):
@@ -525,8 +471,14 @@ def _run_attack(sim: Simulation, attack: AttackInjection, pending) -> None:
         if attack.kind is AttackKind.FORGE_TOKEN:
             token = token.flipped(int(p.get("flip_bit", 0)))
         sim.log.append(sim.cycle, app, "issue", target=target)
-        txn = sim.forged_transaction(
-            app, target, p.get("attribute", AccessAttribute.READ), token, ip_id
+        # attacker-chosen sideband signals, bypassing the wrapper: the only
+        # forgery path in the simulator
+        sim._forge_serial -= 1
+        txn = WrappedTransaction(
+            source=sim.apps[app], target=sim.objects[target],
+            kind=p.get("attribute", AccessAttribute.READ), payload=b"",
+            sideband=SidebandSignals(token, ip_id, IntegrityLevel.HIGH),
+            issue_cycle=sim.cycle, serial=sim._forge_serial,
         )
         blocked = not _execute_txn(sim, app, txn, pending)
 

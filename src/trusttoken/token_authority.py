@@ -24,7 +24,7 @@ from .policy_engine import (
     SystemModel,
     evaluate,
 )
-from .puf_model import Challenge, ChipFingerprint, PufParams, Response, measure_response
+from .puf_model import Challenge, ChipFingerprint, PufParams, measure_response
 
 _PROVISION_SALT = 0x50524F
 
@@ -33,24 +33,18 @@ _PROVISION_SALT = 0x50524F
 class Token:
     """256-bit authorization secret (the ar_token sideband value)."""
 
-    bits: str
+    bits: int  # bit 0 is the most significant bit, as in a PUF Response
 
     def __post_init__(self):
-        if len(self.bits) != 256 or set(self.bits) - {"0", "1"}:
-            raise ParameterError("token must be exactly 256 bits of 0/1")
-
-    @classmethod
-    def from_response(cls, response: Response) -> "Token":
-        return cls(response.bits)
+        if not isinstance(self.bits, int) or not 0 <= self.bits < 1 << 256:
+            raise ParameterError("token must be an int of exactly 256 bits")
 
     def flipped(self, bit: int) -> "Token":
-        """Copy with one bit inverted (attack-construction helper)."""
-        chars = list(self.bits)
-        chars[bit] = "0" if chars[bit] == "1" else "1"
-        return Token("".join(chars))
+        """Copy with bit 0..255 inverted (attack-construction helper)."""
+        return Token(self.bits ^ 1 << 255 - bit)
 
 
-ZERO_TOKEN = Token("0" * 256)
+ZERO_TOKEN = Token(0)
 
 
 @dataclass(frozen=True)
@@ -99,9 +93,6 @@ class TokenTable:
 
     def __contains__(self, obj: ObjectId) -> bool:
         return obj in self._entries
-
-    def objects(self) -> tuple[ObjectId, ...]:
-        return tuple(self._entries)
 
     def ip_id_of(self, obj: ObjectId) -> IpId:
         return self._require(obj).ip_id
@@ -152,17 +143,21 @@ def provision(
         raise ProvisioningError("duplicate ObjectId in ip_list")
     if len(ip_list) > 256:
         raise ProvisioningError("at most 256 IPs per controller (8-bit ar_id)")
+    if params.response_bits != 256:
+        raise ParameterError(
+            f"token must be exactly 256 bits, got response_bits={params.response_bits}"
+        )
 
     rng = np.random.default_rng([master_seed, epoch, _PROVISION_SALT])
     challenge_order = iter(int(c) for c in rng.permutation(0x10000))
     quiet = dataclasses.replace(params, noise_sigma=0.0)
 
     entries: dict[ObjectId, _Entry] = {}
-    seen_tokens: set[str] = set()
+    seen_tokens: set[int] = set()
     for index, (obj, level) in enumerate(ip_list):
         while True:
             challenge = Challenge(next(challenge_order))
-            token = Token.from_response(measure_response(chip, challenge, 0, quiet))
+            token = Token(measure_response(chip, challenge, 0, quiet).bits)
             if token.bits in seen_tokens:
                 if on_fault is not None:
                     on_fault({"event": "token_collision", "object": obj.index})
@@ -181,10 +176,10 @@ def authorize(table: TokenTable, txn, policy: SystemModel) -> AuthorizationOutco
     An unprovisioned target is MALFORMED.  LOW-integrity targets pass
     through unchecked at cycle cost 1.  Every HIGH target pays the 2-cycle
     handshake and is decided by one :func:`evaluate` call, whose stages run
-    in one order (unknown reference, foreign process, credentials, strict
-    empty attribute, matrix) and fix the reason; the simulator's baseline
-    mode runs only the unknown-target and matrix stages.  A denied payload
-    is never delivered (enforced by the wrapper, which requires this outcome).
+    in one order (unknown reference, foreign process, credentials, empty
+    attribute, matrix) and fix the reason; the simulator's baseline mode
+    runs only the unknown-target and matrix stages.  A denied payload is
+    never delivered (enforced by the wrapper, which requires this outcome).
     """
     target = txn.target
     if target not in table:
@@ -199,8 +194,8 @@ def authorize(table: TokenTable, txn, policy: SystemModel) -> AuthorizationOutco
         ip_id=txn.sideband.ar_id,
         attribute=txn.kind,
     )
-    decision = evaluate(policy, request, table)
-    return AuthorizationOutcome(decision.granted, 2, decision.reason, serial=txn.serial)
+    reason = evaluate(policy, request, table)
+    return AuthorizationOutcome(reason is None, 2, reason, serial=txn.serial)
 
 
 def request_integrity_transition(

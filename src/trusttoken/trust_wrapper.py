@@ -27,9 +27,8 @@ class SidebandSignals:
     def encode(self) -> bytes:
         """Wire encoding: 32 token bytes big-endian, 1 id byte, 1 flags
         byte whose LSB is the integrity bit (HIGH = 1)."""
-        token_bytes = int(self.ar_token.bits, 2).to_bytes(32, "big")
         flags = 1 if self.ar_integrity is IntegrityLevel.HIGH else 0
-        return token_bytes + bytes([self.ar_id.value, flags])
+        return self.ar_token.bits.to_bytes(32, "big") + bytes([self.ar_id.value, flags])
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,54 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
         assert capsys.readouterr().err == f"error: forge_token attack has reserved or non-string param {key}\n"
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("seed: 7", "seed: .inf"),
+            ("max_cycles: 100", "max_cycles: .inf"),
+            ("cycle: 1,", "cycle: .inf,"),
+            ("payload: \"00ff\"}", "payload: \"00ff\"}\n  - {cycle: 5, type: attack, kind: forge_token,"
+             " app: app1, target: aes, flip_bit: .inf}"),
+            ("max_cycles: 100", "max_cycles: 100\npuf: [1]"),
+            ("max_cycles: 100", "max_cycles: 100\npuf: abc"),
+            ("app_map: {app1: aes}", "app_map: [1]"),
+        ],
+        ids=["seed-inf", "max_cycles-inf", "cycle-inf", "flip_bit-inf", "puf-list", "puf-str",
+             "app_map-list"],
+    )
+    def test_config_value_of_the_wrong_kind_exits_1(self, tmp_path, capsys, old, new):
+        text = bundled_config("smoke.cfg").read_text()
+        assert old in text
+        cfg = tmp_path / "kind.cfg"
+        cfg.write_text(text.replace(old, new))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("access", ['"-"', '""'])
+    @pytest.mark.parametrize("attack", [False, True])
+    def test_access_without_access_bits_exits_1(self, tmp_path, capsys, access, attack):
+        text = bundled_config("smoke.cfg").read_text()
+        if attack:  # script entry 1, after the valid access at cycle 1
+            text += ("  - {cycle: 5, type: attack, kind: cross_ip_access, app: app1, target: aes,"
+                     f" access: {access}}}\n")
+        else:
+            text = text.replace("access: rwe", f"access: {access}")
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(text)
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            f"error: script entry {int(attack)}: an access needs at least one access bit\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_cpu_user_is_read_as_a_name(self, tmp_path):
+        text = bundled_config("smoke.cfg").read_text()
+        cfg = tmp_path / "user.cfg"
+        cfg.write_text(text.replace("apps: [app1]}", "apps: [app1], user: [1]}"))
+        assert cfg.read_text() != text
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+
     def test_responses_are_logged_in_cycle_order(self, tmp_path):
         # the HIGH access's response (cost 2) is due after the LOW one's
         # (cost 1) although it was granted first in the same cycle

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from policy_helpers import StaticCredentialStore, matrix_for
 
 from trusttoken.errors import ConstructionError, MatrixTamperError
 from trusttoken.policy_engine import (
@@ -14,9 +15,7 @@ from trusttoken.policy_engine import (
     DenialReason,
     ObjectId,
     ProcessId,
-    StaticCredentialStore,
     UserId,
-    Verdict,
     attribute_from_str,
     build_system,
     classify_confidentiality,
@@ -55,7 +54,7 @@ def request(user=U0, process=P00, obj=O0, token="tok0", ip_id="id0", attr=R):
 class TestBuildSystem:
     def test_minimal_valid(self):
         model = two_user_model()
-        assert model.matrix_for(U0).cell(0, 0) == RWE
+        assert matrix_for(model, U0).cell(0, 0) == RWE
 
     def test_shared_matrix_instance_rejected(self):
         shared = AccessMatrix(U0, ((RWE, NONE),))
@@ -91,42 +90,38 @@ class TestBuildSystem:
 
 class TestEvaluate:
     def test_happy_path(self):
-        d = evaluate(two_user_model(), request(), creds())
-        assert d.verdict is Verdict.YES
-        assert d.reason is None
+        assert evaluate(two_user_model(), request(), creds()) is None
 
     def test_foreign_process_denied(self):
         # user U1 presenting U0's process
         d = evaluate(two_user_model(), request(user=U1, process=P00, obj=O1,
                                                token="tok1", ip_id="id1"), creds())
-        assert d.reason is DenialReason.FOREIGN_PROCESS
+        assert d is DenialReason.FOREIGN_PROCESS
 
     def test_token_mismatch(self):
         d = evaluate(two_user_model(), request(token="bad"), creds())
-        assert d.reason is DenialReason.TOKEN_MISMATCH
+        assert d is DenialReason.TOKEN_MISMATCH
 
     def test_id_mismatch(self):
         d = evaluate(two_user_model(), request(ip_id="id1"), creds())
-        assert d.reason is DenialReason.ID_MISMATCH
+        assert d is DenialReason.ID_MISMATCH
 
     def test_matrix_deny(self):
         d = evaluate(two_user_model(), request(obj=O1, token="tok1", ip_id="id1"), creds())
-        assert d.reason is DenialReason.MATRIX_DENY
+        assert d is DenialReason.MATRIX_DENY
 
     def test_unknown_user_malformed(self):
         d = evaluate(two_user_model(), request(user=UserId(9), process=ProcessId(UserId(9), 0)), creds())
-        assert d.reason is DenialReason.MALFORMED
+        assert d is DenialReason.MALFORMED
 
     def test_object_missing_from_credentials_denied(self):
         store = StaticCredentialStore({O1: ("id1", "tok1")})
         d = evaluate(two_user_model(), request(), store)
-        assert d.verdict is Verdict.NO
+        assert d is not None
 
-    def test_strict_mode_denies_empty_attribute(self):
+    def test_empty_attribute_denied(self):
         d = evaluate(two_user_model(), request(attr=NONE), creds())
-        assert d.reason is DenialReason.MALFORMED
-        d = evaluate(two_user_model(), request(attr=NONE), creds(), strict=False)
-        assert d.verdict is Verdict.YES
+        assert d is DenialReason.MALFORMED
 
     def test_pure(self):
         model, store = two_user_model(), creds()
@@ -141,11 +136,10 @@ class TestEvaluate:
         m1 = AccessMatrix(U1, ((NONE, RWE),))
         model = build_system([U0, U1], [P00, P10], [O0, O1], [m0, m1])
         full = evaluate(model, request(attr=AccessAttribute(requested)), creds())
-        if full.verdict is Verdict.YES:
+        if full is None:
             for sub in range(1, 8):
                 if sub & requested == sub:
-                    d = evaluate(model, request(attr=AccessAttribute(sub)), creds())
-                    assert d.verdict is Verdict.YES
+                    assert evaluate(model, request(attr=AccessAttribute(sub)), creds()) is None
 
 
 class TestClassification:
@@ -175,9 +169,9 @@ class TestModifyMatrix:
     def test_controller_may_modify(self):
         model = two_user_model()
         updated = modify_matrix(model, Actor.CONTROLLER, U0, P00, O1, R)
-        assert updated.matrix_for(U0).cell(0, 1) == R
+        assert matrix_for(updated, U0).cell(0, 1) == R
         # original untouched
-        assert model.matrix_for(U0).cell(0, 1) == NONE
+        assert matrix_for(model, U0).cell(0, 1) == NONE
 
     def test_integrator_only_in_design_phase(self):
         model = two_user_model()
@@ -212,7 +206,7 @@ class TestModifyMatrix:
 # literal rules oracle
 
 
-def literal_rules_verdict(model, req, store, strict=True):
+def literal_rules_verdict(model, req, store):
     """Straight-line restatement of decision rules 1-5, independent of
     evaluate()'s structure.  Returns 'yes' or 'no'."""
     # rule 2: all six members must come from the model's sets
@@ -233,12 +227,12 @@ def literal_rules_verdict(model, req, store, strict=True):
     # rules 3/4 strict reading: the attribute must preserve at least one of
     # confidentiality (r or e) and integrity (w or e)
     a = int(req.attribute)
-    if strict and not (a & 0b100 or a & 0b010 or a & 0b001):
+    if not (a & 0b100 or a & 0b010 or a & 0b001):
         return "no"
     # rule 5: decision from the matrix element
     row = [p for p in model.processes if p.owner == req.user].index(req.process)
     col = list(model.objects).index(req.object)
-    cell = int(model.matrix_for(req.user).cells[row][col])
+    cell = int(matrix_for(model, req.user).cells[row][col])
     return "yes" if (a & cell) == a else "no"
 
 
@@ -286,5 +280,5 @@ def test_oracle_equivalence_2x2x2_exhaustive():
     entries = {o: (f"id{o.index}", f"tok{o.index}") for o in model.objects}
     store = StaticCredentialStore(entries)
     for req in enumerate_requests(model, entries):
-        got = evaluate(model, req, store).verdict.value
+        got = "yes" if evaluate(model, req, store) is None else "no"
         assert got == literal_rules_verdict(model, req, store), req

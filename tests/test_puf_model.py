@@ -34,8 +34,13 @@ from trusttoken.puf_model import (
 )
 
 
+def response(text):
+    """The Response whose readout is the '0'/'1' string text, bit 0 first."""
+    return Response(int(text, 2), len(text))
+
+
 def bits(pattern, width=256):
-    return Response((pattern * width)[:width])
+    return response((pattern * width)[:width])
 
 
 def reference_frequencies(chip_seed, params):
@@ -60,7 +65,7 @@ def reference_response(chip, challenge, measurement_seed, params):
         )
         observed = observed + common + individual
     pairs = challenge_pairs(challenge, params)
-    return Response("".join("1" if observed[a] > observed[b] else "0" for a, b in pairs))
+    return response("".join("1" if observed[a] > observed[b] else "0" for a, b in pairs))
 
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -151,9 +156,13 @@ class TestBatchedSeeding:
         assert freqs == reference_frequencies(chip_seed, params)
         assert all(type(f) is float for f in freqs)
 
+    @pytest.mark.parametrize(
+        "params", [PufParams(), PufParams(oscillator_count=1000, response_bits=100)]
+    )
     @pytest.mark.parametrize("noise_sigma", [0.0, 1e5, 1.9e6])
-    def test_measure_response_matches_reference(self, chip, noise_sigma):
-        params = PufParams(noise_sigma=noise_sigma)
+    def test_measure_response_matches_reference(self, params, noise_sigma):
+        params = dataclasses.replace(params, noise_sigma=noise_sigma)
+        chip = new_chip(7, params)
         for cv, seed in ((0, 0), (9, 42), (65535, 7)):
             expected = reference_response(chip, Challenge(cv), seed, params)
             assert measure_response(chip, Challenge(cv), seed, params) == expected
@@ -170,6 +179,14 @@ class TestBatchedSeeding:
         )
         before, after = out.stdout.split()
         assert after == before  # numpy < 2 imports numpy.random itself
+
+
+class TestResponse:
+    def test_bits_must_fit_the_width(self):
+        assert Response(0b111, 3).width == 3
+        for bits, width in ((0b1000, 3), (-1, 3), (0, 0), ("0101", 4), (1, 2.0)):
+            with pytest.raises(ParameterError):
+                Response(bits, width)
 
 
 class TestMeasureResponse:
@@ -218,19 +235,19 @@ class TestHammingDistance:
     def test_against_bit_loop_oracle(self, chip, default_params):
         a = measure_response(chip, Challenge(11), 0, default_params)
         b = measure_response(chip, Challenge(12), 0, default_params)
-        expected = sum(1 for x, y in zip(a.bits, b.bits) if x != y)
+        a_text, b_text = format(a.bits, "0256b"), format(b.bits, "0256b")
+        expected = sum(1 for x, y in zip(a_text, b_text) if x != y)
         assert hamming_distance(a, b) == expected
 
     def test_padded_pattern_oracle(self):
-        a = Response("0011" + "0" * 252)
-        b = Response("0101" + "0" * 252)
-        expected = sum(1 for x, y in zip(a.bits, b.bits) if x != y)
+        a, b = "0011" + "0" * 252, "0101" + "0" * 252
+        expected = sum(1 for x, y in zip(a, b) if x != y)
         assert expected == 2
-        assert hamming_distance(a, b) == expected
+        assert hamming_distance(response(a), response(b)) == expected
 
     def test_width_mismatch(self):
         with pytest.raises(ParameterError):
-            hamming_distance(Response("01"), Response("011"))
+            hamming_distance(response("01"), response("011"))
 
     @given(
         a=st.integers(0, 2**64 - 1),
@@ -238,8 +255,8 @@ class TestHammingDistance:
     )
     @settings(max_examples=50)
     def test_symmetric_and_zero_on_self(self, a, b):
-        ra = Response(format(a, "064b"))
-        rb = Response(format(b, "064b"))
+        ra = Response(a, 64)
+        rb = Response(b, 64)
         assert hamming_distance(ra, rb) == hamming_distance(rb, ra)
         assert hamming_distance(ra, ra) == 0
 

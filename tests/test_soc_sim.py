@@ -27,7 +27,6 @@ from trusttoken.soc_sim import (
     Topology,
     TransactionIntent,
     build,
-    inject_awprot_style_tamper,
     report,
     run,
 )
@@ -65,6 +64,16 @@ def benign_script():
 def cross_attack(cycle=20):
     return AttackInjection(
         AttackKind.CROSS_IP_ACCESS, cycle, {"app": "app3", "target": "rsa", "attribute": R}
+    )
+
+
+def awprot_tamper(cycle):
+    """An in-flight protection-signal rewrite (the classic CAD tool attack
+    on AXI AWPROT/ARPROT): an unauthenticated integrity-level transition
+    under token semantics, a direct signal rewrite in baseline mode."""
+    return AttackInjection(
+        AttackKind.TAMPER_INTEGRITY_LEVEL, cycle,
+        {"target": "rsa", "new_level": "LOW", "token": "none", "signal": "AWPROT"},
     )
 
 
@@ -153,10 +162,10 @@ class TestRun:
 
     def test_second_run_is_refused(self):
         sim = build(paper_topology(), 3)
-        inject_awprot_style_tamper(sim, "AWPROT", 50, target="rsa")
-        text = run(sim, benign_script(), 100).to_text()
+        script = benign_script() + [awprot_tamper(50)]
+        text = run(sim, script, 100).to_text()
         with pytest.raises(TrustTokenError, match="already run"):
-            run(sim, benign_script(), 100)
+            run(sim, script, 100)
         assert sim.log.to_text() == text
 
 
@@ -221,25 +230,17 @@ class TestScenario3:
 class TestAwprotInjection:
     def test_trusttoken_blocks(self):
         sim = build(paper_topology(), 3)
-        inject_awprot_style_tamper(sim, "AWPROT", 50, target="rsa")
-        summary = report(run(sim, [], 100))
+        summary = report(run(sim, [awprot_tamper(50)], 100))
         assert summary.verdict == "BLOCKED"
 
     def test_baseline_bypassed(self):
         sim = build(paper_topology(), 3, mode=MODE_BASELINE)
-        inject_awprot_style_tamper(sim, "AWPROT", 50, target="rsa")
-        summary = report(run(sim, [cross_attack(60)], 100))
+        summary = report(run(sim, [awprot_tamper(50), cross_attack(60)], 100))
         assert summary.verdict == "BREACHED"
-
-    def test_unknown_signal_rejected(self):
-        sim = build(paper_topology(), 3)
-        with pytest.raises(ConfigurationError):
-            inject_awprot_style_tamper(sim, "AWCACHE", 50)
 
     def test_beyond_max_cycles_no_effect(self):
         sim = build(paper_topology(), 3)
-        inject_awprot_style_tamper(sim, "AWPROT", 500, target="rsa")
-        log = run(sim, [], 100)
+        log = run(sim, [awprot_tamper(500)], 100)
         assert len(log) == 0
 
 
@@ -300,6 +301,20 @@ class TestAttackChecks:
         # the bad attack lies beyond max_cycles and is still rejected
         with pytest.raises(ConfigurationError):
             run(sim, benign_script() + [AttackInjection(kind, 200, params)], 100)
+        assert len(sim.log) == 0
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            TransactionIntent(10, "app1", "aes", AccessAttribute.NONE),
+            AttackInjection(AttackKind.CROSS_IP_ACCESS, 10,
+                            {"app": "app3", "target": "rsa", "attribute": AccessAttribute.NONE}),
+        ],
+    )
+    def test_access_without_access_bits_rejected_before_the_run(self, entry):
+        sim = build(paper_topology(), 3)
+        with pytest.raises(ConfigurationError, match="script entry 5: an access needs"):
+            run(sim, benign_script() + [entry], 100)
         assert len(sim.log) == 0
 
     def test_interconnect_tamper_needs_an_app_when_cpu0_runs_none(self):

@@ -11,7 +11,7 @@ from trusttoken.trust_wrapper import (
 
 PROC = ProcessId(UserId(0), 0)
 OBJ = ObjectId(0)
-TOKEN = Token("10" * 128)
+TOKEN = Token(int("10" * 128, 2))
 
 
 @pytest.fixture()
@@ -40,7 +40,7 @@ class TestStubs:
 
 class TestWireEncoding:
     def test_golden_layout(self):
-        token = Token("0" * 255 + "1")  # integer value 1
+        token = Token(1)
         sideband = SidebandSignals(token, IpId(0xAB), IntegrityLevel.HIGH)
         encoded = sideband.encode()
         assert len(encoded) == 34  # 256 + 8 bits + flags byte carrying 1 bit
@@ -53,7 +53,7 @@ class TestWireEncoding:
         assert sideband.encode()[33] == 0x00
 
     def test_token_big_endian(self):
-        token = Token("1" + "0" * 255)
+        token = Token(1 << 255)  # bit 0 of the token
         encoded = SidebandSignals(token, IpId(0), IntegrityLevel.HIGH).encode()
         assert encoded[0] == 0x80
 
