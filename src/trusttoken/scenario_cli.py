@@ -59,7 +59,6 @@ def parse_topology(section: dict) -> Topology:
             CpuSpec(
                 name=str(c["name"]),
                 apps=tuple(str(a) for a in c.get("apps", [])),
-                user=None if c.get("user") is None else str(c["user"]),
             )
             for c in section["cpus"]
         )
@@ -104,8 +103,6 @@ def parse_script(entries) -> list:
                         params["attribute"] = attribute_from_str(str(params.pop(key)))
                 if "payload" in params:
                     params["payload"] = bytes.fromhex(str(params.pop("payload")))
-                if not 0 <= int(params.get("flip_bit", 0)) <= 255:
-                    raise ConfigurationError(f"script entry {i}: flip_bit must be in 0..255")
                 script.append(
                     AttackInjection(
                         kind=AttackKind(str(raw["kind"])),

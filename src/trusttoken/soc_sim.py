@@ -63,7 +63,6 @@ _encode_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps u
 class CpuSpec:
     name: str
     apps: tuple[str, ...]
-    user: Optional[str] = None  # defaults to the cpu name
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,6 @@ class Simulation:
         self._forge_serial = 0  # forged transactions count down from -1
 
         # name <-> id resolution
-        self.users: dict[str, UserId] = {}
         self.apps: dict[str, ProcessId] = {}
         self.objects: dict[str, ObjectId] = {}
         self.object_names: dict[ObjectId, str] = {}
@@ -212,7 +210,6 @@ class Simulation:
         for ui, cpu in enumerate(topology.cpus):
             user = UserId(ui)
             users.append(user)
-            self.users[cpu.user or cpu.name] = user
             for pi, app in enumerate(cpu.apps):
                 proc = ProcessId(owner=user, index=pi)
                 processes.append(proc)
@@ -340,7 +337,10 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
         if isinstance(entry, TransactionIntent):
             access = entry.attribute
         elif isinstance(entry, AttackInjection):
-            _check_attack(sim, entry)
+            try:
+                _check_attack(sim, entry)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"script entry {i}: {exc}") from exc
             if entry.kind is AttackKind.CROSS_IP_ACCESS:
                 access = entry.params.get("attribute", AccessAttribute.READ)
         if access == AccessAttribute.NONE:
@@ -419,9 +419,9 @@ def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
     """Reject an attack the run could not carry out: a param key that is
     not a str or that clashes with a field of its attack_fired record, a
     missing or unknown app or target, an attribute that is not an
-    AccessAttribute, or an unknown new_level.  A cross-IP access may name
-    an unknown app or target; it then runs as a malformed transaction and
-    is denied."""
+    AccessAttribute, a flip_bit outside 0..255, or an unknown new_level.
+    A cross-IP access may name an unknown app or target; it then runs as
+    a malformed transaction and is denied."""
     p = attack.params
     kind = attack.kind.value
     for key in p:
@@ -441,6 +441,12 @@ def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
         raise ConfigurationError(f"{kind} attack needs 'app': the first CPU runs no app")
     if not isinstance(p.get("attribute", AccessAttribute.READ), AccessAttribute):
         raise ConfigurationError(f"{kind} attack attribute must be an AccessAttribute")
+    try:
+        flip_bit = int(p.get("flip_bit", 0))
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"flip_bit must be an integer, got {p['flip_bit']!r}") from exc
+    if not 0 <= flip_bit <= 255:
+        raise ConfigurationError(f"flip_bit must be in 0..255, got {flip_bit}")
     if str(p.get("new_level", "LOW")) not in {level.value for level in IntegrityLevel}:
         raise ConfigurationError(f"{kind} attack has unknown new_level {p['new_level']!r}")
 

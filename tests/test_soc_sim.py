@@ -294,6 +294,10 @@ class TestAttackChecks:
             (AttackKind.REPLAY_STALE_TOKEN, {"app": "app4", "target": "rsa", "cycle": 3}),
             (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "kind": "x"}),
             (AttackKind.TAMPER_INTEGRITY_LEVEL, {"target": "rsa", 1: "x"}),
+            # bits a 256-bit token does not have
+            (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "flip_bit": -1}),
+            (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "flip_bit": 256}),
+            (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "flip_bit": float("inf")}),
         ],
     )
     def test_rejected_before_the_run(self, kind, params):
