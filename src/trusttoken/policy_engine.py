@@ -2,11 +2,12 @@
 
 A system couples users, their processes, wrapped IP objects, and one
 access matrix per user (m processes x k objects of 3-bit r/w/e cells).
-``evaluate`` is the single pure decision function: a request is granted
-only if the process belongs to the requesting user, the presented
-credentials match the provisioned ones, and the matrix cell covers every
-requested access bit.  Matrix mutation is restricted to the controller
-and, during the design phase, the IP integrator.
+Users and objects are plain int ids.  ``evaluate`` is the single pure
+decision function: a request is granted only if the process belongs to
+the requesting user, the presented credentials match the provisioned
+ones, and the matrix cell covers every requested access bit.  Matrix
+mutation is restricted to the controller and, during the design phase,
+the IP integrator.
 """
 
 from __future__ import annotations
@@ -60,18 +61,8 @@ class DenialReason(Enum):
 
 
 @dataclass(frozen=True)
-class UserId:
-    index: int
-
-
-@dataclass(frozen=True)
 class ProcessId:
-    owner: UserId
-    index: int
-
-
-@dataclass(frozen=True)
-class ObjectId:
+    owner: int  # the user id
     index: int
 
 
@@ -80,7 +71,7 @@ class AccessMatrix:
     """Per-user grid of access attributes: rows = that user's processes,
     columns = global objects."""
 
-    owner: UserId
+    owner: int
     cells: tuple[tuple[AccessAttribute, ...], ...]
 
     @property
@@ -112,9 +103,9 @@ class Actor(Enum):
 class AccessRequest:
     """One access request: the six enumerated members (u, p, o, t, i, a)."""
 
-    user: UserId
+    user: int
     process: ProcessId
-    object: ObjectId
+    object: int
     token: object
     ip_id: object
     attribute: AccessAttribute
@@ -122,10 +113,10 @@ class AccessRequest:
 
 @dataclass(frozen=True)
 class SystemModel:
-    users: tuple[UserId, ...]
+    users: tuple[int, ...]
     processes: tuple[ProcessId, ...]
-    objects: tuple[ObjectId, ...]
-    matrices: tuple[tuple[UserId, AccessMatrix], ...]
+    objects: tuple[int, ...]
+    matrices: tuple[tuple[int, AccessMatrix], ...]
     design_phase: bool = True
     # process -> (owner's matrix, row) and object -> column, rebuilt by every
     # construction including ``replace``; cells are not copied
@@ -140,11 +131,11 @@ class SystemModel:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_cols", {o: c for c, o in enumerate(self.objects)})
 
-    def knows(self, user: UserId, process: ProcessId, obj: ObjectId) -> bool:
+    def knows(self, user: int, process: ProcessId, obj: int) -> bool:
         """True iff the user, the process and the object all belong to the model."""
         return user in self.users and process in self._rows and obj in self._cols
 
-    def covers(self, process: ProcessId, obj: ObjectId, attribute: AccessAttribute) -> bool:
+    def covers(self, process: ProcessId, obj: int, attribute: AccessAttribute) -> bool:
         """The matrix rule: the process's cell for obj holds every requested bit."""
         matrix, row = self._rows[process]
         return attribute & matrix.cell(row, self._cols[obj]) == attribute
@@ -155,9 +146,9 @@ class SystemModel:
 
 
 def build_system(
-    users: Sequence[UserId],
+    users: Sequence[int],
     processes: Sequence[ProcessId],
-    objects: Sequence[ObjectId],
+    objects: Sequence[int],
     matrices: Sequence[AccessMatrix],
 ) -> SystemModel:
     """Validate and freeze a system model.
@@ -178,7 +169,7 @@ def build_system(
         if p.owner not in users:
             raise ConstructionError(f"process {p} owned by unknown user")
 
-    by_owner: dict[UserId, AccessMatrix] = {}
+    by_owner: dict[int, AccessMatrix] = {}
     for matrix in matrices:
         if matrix.owner in by_owner:
             raise ConstructionError(f"more than one matrix assigned to {matrix.owner}")
@@ -244,9 +235,9 @@ def evaluate(model: SystemModel, request: AccessRequest, credentials) -> Optiona
 def modify_matrix(
     model: SystemModel,
     actor: Actor,
-    user: UserId,
+    user: int,
     process: ProcessId,
-    obj: ObjectId,
+    obj: int,
     new_attribute: AccessAttribute,
 ) -> SystemModel:
     """Update one matrix cell; only the controller (always) or the

@@ -77,8 +77,11 @@ def parse_topology(section: dict) -> Topology:
 
 
 def parse_script(entries) -> list:
+    entries = entries or []
+    if not isinstance(entries, list):
+        raise ConfigurationError(f"script section must be a list, got {entries!r}")
     script = []
-    for i, raw in enumerate(entries or []):
+    for i, raw in enumerate(entries):
         try:
             cycle = int(raw["cycle"])
             if cycle < 0:

@@ -24,10 +24,8 @@ from .policy_engine import (
     Actor,
     DenialReason,
     IntegrityLevel,
-    ObjectId,
     ProcessId,
     SystemModel,
-    UserId,
     build_system,
     modify_matrix,
 )
@@ -39,12 +37,7 @@ from .token_authority import (
     provision,
     request_integrity_transition,
 )
-from .trust_wrapper import (
-    SidebandSignals,
-    WrappedTransaction,
-    WrapperRegistry,
-    standard_stub,
-)
+from .trust_wrapper import SidebandSignals, TrustWrapper, WrappedTransaction, standard_stub
 
 MODE_TRUSTTOKEN = "trusttoken"
 MODE_BASELINE = "trustzone-baseline"
@@ -200,58 +193,42 @@ class Simulation:
         self.epoch = 0
         self._forge_serial = 0  # forged transactions count down from -1
 
-        # name <-> id resolution
-        self.apps: dict[str, ProcessId] = {}
-        self.objects: dict[str, ObjectId] = {}
-        self.object_names: dict[ObjectId, str] = {}
-
-        users = []
-        processes = []
-        for ui, cpu in enumerate(topology.cpus):
-            user = UserId(ui)
-            users.append(user)
-            for pi, app in enumerate(cpu.apps):
-                proc = ProcessId(owner=user, index=pi)
-                processes.append(proc)
-                self.apps[app] = proc
-        for oi, ip in enumerate(topology.wrapped_ips):
-            obj = ObjectId(oi)
-            self.objects[ip.object] = obj
-            self.object_names[obj] = ip.object
+        # user i is the i-th CPU and object j the j-th wrapped IP; names map
+        # to ids, and object_names and wrappers are indexed by object id
+        self.apps: dict[str, ProcessId] = {
+            app: ProcessId(owner=user, index=pi)
+            for user, cpu in enumerate(topology.cpus)
+            for pi, app in enumerate(cpu.apps)
+        }
+        self.object_names = tuple(ip.object for ip in topology.wrapped_ips)
+        self.objects = {name: obj for obj, name in enumerate(self.object_names)}
+        objects = range(len(self.object_names))
 
         # matrices: each app gets full access to its mapped IP, nothing else
-        matrices = []
-        for ui, cpu in enumerate(topology.cpus):
-            rows = []
-            for app in cpu.apps:
-                mapped = self.objects[topology.app_to_ip[app]]
-                rows.append(
-                    tuple(
-                        FULL_ACCESS if obj == mapped else AccessAttribute.NONE
-                        for obj in (self.objects[ip.object] for ip in topology.wrapped_ips)
-                    )
-                )
-            matrices.append(AccessMatrix(UserId(ui), tuple(rows)))
-        model = build_system(users, processes, tuple(self.objects.values()), matrices)
+        matrices = [
+            AccessMatrix(user, tuple(
+                tuple(FULL_ACCESS if obj == mapped else AccessAttribute.NONE for obj in objects)
+                for mapped in (self.objects[topology.app_to_ip[app]] for app in cpu.apps)
+            ))
+            for user, cpu in enumerate(topology.cpus)
+        ]
+        model = build_system(range(len(topology.cpus)), self.apps.values(), objects, matrices)
         self.model: SystemModel = model.sealed()
 
         # PUF chip + provisioning
         self.chip = new_chip(master_seed & (2**64 - 1), params)
-        self.ip_list = tuple(
-            (self.objects[ip.object], ip.integrity) for ip in topology.wrapped_ips
+        self.ip_list = tuple(enumerate(ip.integrity for ip in topology.wrapped_ips))
+        self.wrappers = tuple(
+            TrustWrapper(standard_stub(ip.stub), obj, ip.integrity)
+            for obj, ip in enumerate(topology.wrapped_ips)
         )
-        self.registry = WrapperRegistry()
-        for ip in topology.wrapped_ips:
-            self.registry.wrap(standard_stub(ip.stub), self.objects[ip.object], ip.integrity)
         self.table = None
         self._attack_surface: dict[str, tuple] = {}
         self._provision(initial=True)
 
         # baseline-mode state: per-object protection signal plus the
         # interconnect-level check that scenario-2 style tampering disables
-        self._baseline_secure = {
-            ip.object: ip.integrity is IntegrityLevel.HIGH for ip in topology.wrapped_ips
-        }
+        self._baseline_secure = [ip.integrity is IntegrityLevel.HIGH for ip in topology.wrapped_ips]
         self._baseline_check_enabled = True
 
     # -- construction helpers ---------------------------------------------
@@ -270,7 +247,7 @@ class Simulation:
             self.log.append(self.cycle, "controller", "fault", **fault)
         for obj, _level in self.ip_list:
             ip_id, token = self.table.release_credentials(obj)
-            self.registry[obj].install_credentials(ip_id, token)
+            self.wrappers[obj].install_credentials(ip_id, token)
             if initial:
                 # boot-time credentials that forge, replay and stolen-token attacks reuse
                 self._attack_surface[self.object_names[obj]] = (ip_id, token)
@@ -297,10 +274,9 @@ class Simulation:
         matrix rule ``SystemModel.covers`` -> MATRIX_DENY."""
         if self.mode == MODE_TRUSTTOKEN:
             return authorize(self.table, txn, self.model)
-        name = self.object_names.get(txn.target)
-        if name is None:
+        if txn.target not in self.table:
             return AuthorizationOutcome(False, 1, DenialReason.MALFORMED, serial=txn.serial)
-        bypassed = not self._baseline_check_enabled or not self._baseline_secure[name]
+        bypassed = not self._baseline_check_enabled or not self._baseline_secure[txn.target]
         if bypassed or self.model.covers(txn.source, txn.target, txn.kind):
             return AuthorizationOutcome(True, 1, serial=txn.serial)
         return AuthorizationOutcome(False, 1, DenialReason.MATRIX_DENY, serial=txn.serial)
@@ -375,13 +351,13 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
 def _execute_txn(sim: Simulation, actor: str, txn: WrappedTransaction, pending) -> bool:
     """Authorize, log grant/deny, and deliver on grant.  Returns granted."""
     outcome = sim._authorize(txn)
-    target_name = sim.object_names.get(txn.target, "?")
+    target_name = sim.object_names[txn.target] if txn.target in sim.table else "?"
     if outcome.granted:
         sim.log.append(
             sim.cycle, "controller", "grant",
             target=target_name, source=actor, cost=outcome.cycle_cost,
         )
-        wrapper = sim.registry[txn.target]
+        wrapper = sim.wrappers[txn.target]
         response = wrapper.deliver(txn, outcome)
         # the grant just logged makes len(sim.log) a unique, rising tie-break
         insort(pending, (
@@ -408,7 +384,7 @@ def _run_intent(sim: Simulation, intent: TransactionIntent, pending) -> bool:
             reason=DenialReason.MALFORMED.value, cost=1,
         )
         return False
-    wrapper = sim.registry[sim.objects[sim.topology.app_to_ip[intent.app]]]
+    wrapper = sim.wrappers[sim.objects[sim.topology.app_to_ip[intent.app]]]
     txn = wrapper.issue(
         target, intent.attribute, intent.payload, source=proc, clock=sim.cycle
     )
@@ -419,7 +395,8 @@ def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
     """Reject an attack the run could not carry out: a param key that is
     not a str or that clashes with a field of its attack_fired record, a
     missing or unknown app or target, an attribute that is not an
-    AccessAttribute, a flip_bit outside 0..255, or an unknown new_level.
+    AccessAttribute, a payload that is not bytes, a flip_bit outside
+    0..255, or an unknown new_level.
     A cross-IP access may name an unknown app or target; it then runs as
     a malformed transaction and is denied."""
     p = attack.params
@@ -441,6 +418,8 @@ def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
         raise ConfigurationError(f"{kind} attack needs 'app': the first CPU runs no app")
     if not isinstance(p.get("attribute", AccessAttribute.READ), AccessAttribute):
         raise ConfigurationError(f"{kind} attack attribute must be an AccessAttribute")
+    if not isinstance(p.get("payload", b""), bytes):
+        raise ConfigurationError(f"{kind} attack payload must be bytes, got {p['payload']!r}")
     try:
         flip_bit = int(p.get("flip_bit", 0))
     except (OverflowError, TypeError, ValueError) as exc:
@@ -466,7 +445,7 @@ def _run_attack(sim: Simulation, attack: AttackInjection, pending) -> None:
             app=str(p["app"]),
             target=str(p["target"]),
             attribute=p.get("attribute", AccessAttribute.READ),
-            payload=bytes(p.get("payload", b"")),
+            payload=p.get("payload", b""),
         )
         blocked = not _run_intent(sim, intent, pending)
 
@@ -508,7 +487,7 @@ def _run_attack(sim: Simulation, attack: AttackInjection, pending) -> None:
             )
             blocked = not outcome.granted
         else:
-            sim._baseline_secure[target] = new_level is IntegrityLevel.HIGH
+            sim._baseline_secure[sim.objects[target]] = new_level is IntegrityLevel.HIGH
             sim.log.append(
                 sim.cycle, "interconnect", "transition",
                 target=target, to=new_level.value, status="granted",

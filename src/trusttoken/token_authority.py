@@ -20,7 +20,6 @@ from .policy_engine import (
     AccessRequest,
     DenialReason,
     IntegrityLevel,
-    ObjectId,
     SystemModel,
     evaluate,
 )
@@ -75,7 +74,6 @@ class _Entry:
     ip_id: IpId
     token: Token
     integrity: IntegrityLevel
-    challenge: Challenge
     released: bool = False
 
 
@@ -87,17 +85,17 @@ class TokenTable:
     (the boot-stage push to its wrapper).
     """
 
-    def __init__(self, entries: dict[ObjectId, _Entry], epoch: int = 0):
+    def __init__(self, entries: dict[int, _Entry], epoch: int = 0):
         self._entries = dict(entries)
         self.epoch = epoch
 
-    def __contains__(self, obj: ObjectId) -> bool:
+    def __contains__(self, obj: int) -> bool:
         return obj in self._entries
 
-    def ip_id_of(self, obj: ObjectId) -> IpId:
+    def ip_id_of(self, obj: int) -> IpId:
         return self._require(obj).ip_id
 
-    def check_credentials(self, obj: ObjectId, ip_id, token) -> Optional[DenialReason]:
+    def check_credentials(self, obj: int, ip_id, token) -> Optional[DenialReason]:
         if obj not in self._entries:
             return DenialReason.MALFORMED
         entry = self._entries[obj]
@@ -107,7 +105,7 @@ class TokenTable:
             return DenialReason.ID_MISMATCH
         return None
 
-    def release_credentials(self, obj: ObjectId) -> tuple[IpId, Token]:
+    def release_credentials(self, obj: int) -> tuple[IpId, Token]:
         """One-shot boot handout of (ar_id, ar_token) for a wrapper."""
         entry = self._require(obj)
         if entry.released:
@@ -115,7 +113,7 @@ class TokenTable:
         entry.released = True
         return entry.ip_id, entry.token
 
-    def _require(self, obj: ObjectId) -> _Entry:
+    def _require(self, obj: int) -> _Entry:
         if obj not in self._entries:
             raise ParameterError(f"object {obj} is not provisioned")
         return self._entries[obj]
@@ -124,7 +122,7 @@ class TokenTable:
 def provision(
     chip: ChipFingerprint,
     params: PufParams,
-    ip_list: Sequence[tuple[ObjectId, IntegrityLevel]],
+    ip_list: Sequence[tuple[int, IntegrityLevel]],
     master_seed: int,
     epoch: int = 0,
     on_fault=None,
@@ -140,7 +138,7 @@ def provision(
         raise ProvisioningError("ip_list must not be empty")
     objects = [obj for obj, _ in ip_list]
     if len(set(objects)) != len(objects):
-        raise ProvisioningError("duplicate ObjectId in ip_list")
+        raise ProvisioningError("duplicate object in ip_list")
     if len(ip_list) > 256:
         raise ProvisioningError("at most 256 IPs per controller (8-bit ar_id)")
     if params.response_bits != 256:
@@ -152,7 +150,7 @@ def provision(
     challenge_order = iter(int(c) for c in rng.permutation(0x10000))
     quiet = dataclasses.replace(params, noise_sigma=0.0)
 
-    entries: dict[ObjectId, _Entry] = {}
+    entries: dict[int, _Entry] = {}
     seen_tokens: set[int] = set()
     for index, (obj, level) in enumerate(ip_list):
         while True:
@@ -160,13 +158,11 @@ def provision(
             token = Token(measure_response(chip, challenge, 0, quiet).bits)
             if token.bits in seen_tokens:
                 if on_fault is not None:
-                    on_fault({"event": "token_collision", "object": obj.index})
+                    on_fault({"event": "token_collision", "object": obj})
                 continue
             break
         seen_tokens.add(token.bits)
-        entries[obj] = _Entry(
-            ip_id=IpId(index), token=token, integrity=level, challenge=challenge
-        )
+        entries[obj] = _Entry(ip_id=IpId(index), token=token, integrity=level)
     return TokenTable(entries, epoch=epoch)
 
 
@@ -200,7 +196,7 @@ def authorize(table: TokenTable, txn, policy: SystemModel) -> AuthorizationOutco
 
 def request_integrity_transition(
     table: TokenTable,
-    obj: ObjectId,
+    obj: int,
     presented_token: Token,
     new_level: IntegrityLevel,
 ) -> AuthorizationOutcome:
@@ -214,5 +210,5 @@ def request_integrity_transition(
     return AuthorizationOutcome(True, 2)
 
 
-def lookup_integrity(table: TokenTable, obj: ObjectId) -> IntegrityLevel:
+def lookup_integrity(table: TokenTable, obj: int) -> IntegrityLevel:
     return table._require(obj).integrity

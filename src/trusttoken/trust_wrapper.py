@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ConfigurationError, ParameterError, SimulationFault
-from .policy_engine import AccessAttribute, IntegrityLevel, ObjectId, ProcessId
+from .policy_engine import AccessAttribute, IntegrityLevel, ProcessId
 from .token_authority import AuthorizationOutcome, IpId, Token
 
 
@@ -34,20 +34,12 @@ class SidebandSignals:
 @dataclass(frozen=True)
 class WrappedTransaction:
     source: ProcessId
-    target: ObjectId
+    target: int
     kind: AccessAttribute
     payload: bytes
     sideband: SidebandSignals
     issue_cycle: int
     serial: int
-
-
-@dataclass(frozen=True)
-class IpCoreStub:
-    """Deterministic stand-in for a crypto IP core; transform is pure."""
-
-    name: str
-    transform: Callable[[bytes], bytes]
 
 
 def _aes_stub(payload: bytes) -> bytes:
@@ -85,9 +77,10 @@ _STANDARD_STUBS = {
 }
 
 
-def standard_stub(name: str) -> IpCoreStub:
+def standard_stub(name: str) -> Callable[[bytes], bytes]:
+    """The pure transform of a deterministic stand-in for a crypto IP core."""
     try:
-        return IpCoreStub(name=name, transform=_STANDARD_STUBS[name.upper()])
+        return _STANDARD_STUBS[name.upper()]
     except KeyError:
         raise ConfigurationError(f"no standard stub named {name!r}") from None
 
@@ -96,7 +89,8 @@ class TrustWrapper:
     """One wrapped IP: holds the stub, its object id, and (after
     provisioning) its private credentials."""
 
-    def __init__(self, stub: IpCoreStub, obj: ObjectId, declared_integrity: IntegrityLevel):
+    def __init__(self, stub: Callable[[bytes], bytes], obj: int,
+                 declared_integrity: IntegrityLevel):
         self.stub = stub
         self.object = obj
         self.declared_integrity = declared_integrity
@@ -121,7 +115,7 @@ class TrustWrapper:
 
     def issue(
         self,
-        target: ObjectId,
+        target: int,
         kind: AccessAttribute,
         payload: bytes,
         *,
@@ -153,26 +147,4 @@ class TrustWrapper:
         if not outcome.granted:
             return None
         self.stub_invocations += 1
-        return self.stub.transform(txn.payload)
-
-
-class WrapperRegistry:
-    """Tracks wrapped objects; wrapping the same object twice is an error."""
-
-    def __init__(self):
-        self._wrappers: dict[ObjectId, TrustWrapper] = {}
-
-    def wrap(
-        self, stub: IpCoreStub, obj: ObjectId, declared_integrity: IntegrityLevel
-    ) -> TrustWrapper:
-        if obj in self._wrappers:
-            raise ConfigurationError(f"object {obj} is already wrapped")
-        wrapper = TrustWrapper(stub, obj, declared_integrity)
-        self._wrappers[obj] = wrapper
-        return wrapper
-
-    def __contains__(self, obj: ObjectId) -> bool:
-        return obj in self._wrappers
-
-    def __getitem__(self, obj: ObjectId) -> TrustWrapper:
-        return self._wrappers[obj]
+        return self.stub(txn.payload)

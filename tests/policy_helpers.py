@@ -4,16 +4,16 @@ that ``evaluate`` can check credentials against without a provisioned
 
 from typing import Mapping, Optional
 
-from trusttoken.policy_engine import AccessMatrix, DenialReason, ObjectId, SystemModel, UserId
+from trusttoken.policy_engine import AccessMatrix, DenialReason, SystemModel
 
 
 class StaticCredentialStore:
     """Plain dict-backed credential view: object -> (ip_id, token)."""
 
-    def __init__(self, entries: Mapping[ObjectId, tuple]):
+    def __init__(self, entries: Mapping[int, tuple]):
         self._entries = dict(entries)
 
-    def __contains__(self, obj: ObjectId) -> bool:
+    def __contains__(self, obj: int) -> bool:
         return obj in self._entries
 
     def check_credentials(self, obj, ip_id, token) -> Optional[DenialReason]:
@@ -27,7 +27,7 @@ class StaticCredentialStore:
         return None
 
 
-def matrix_for(model: SystemModel, user: UserId) -> AccessMatrix:
+def matrix_for(model: SystemModel, user: int) -> AccessMatrix:
     for owner, matrix in model.matrices:
         if owner == user:
             return matrix

@@ -79,7 +79,7 @@ def test_criterion_6_matrix_tamper_rejected(tmp_path):
         m for m in enumerate_models(max_users=2, max_procs=2, max_objects=2, samples_per_shape=1)
         if len(m.users) == 2 and len(m.objects) == 2 and len(m.processes) == 4
     ).sealed()
-    entries = {o: (f"id{o.index}", f"tok{o.index}") for o in model.objects}
+    entries = {o: (f"id{o}", f"tok{o}") for o in model.objects}
     store = StaticCredentialStore(entries)
 
     def sweep():
@@ -121,7 +121,7 @@ def test_criterion_7_scenario3_contrast(tmp_path):
 def test_criterion_8_oracle_equivalence():
     checked = 0
     for model in enumerate_models(max_users=3, max_procs=2, max_objects=3, samples_per_shape=2):
-        entries = {o: (f"id{o.index}", f"tok{o.index}") for o in model.objects}
+        entries = {o: (f"id{o}", f"tok{o}") for o in model.objects}
         store = StaticCredentialStore(entries)
         for req in enumerate_requests(model, entries):
             got = "yes" if evaluate(model, req, store) is None else "no"

@@ -149,6 +149,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value, shown", [("5", "5"), ("true", "True")])
+    def test_script_that_is_not_a_list_exits_1(self, tmp_path, capsys, value, shown):
+        text = bundled_config("smoke.cfg").read_text()
+        cfg = tmp_path / "script.cfg"
+        cfg.write_text(text[: text.index("script:")] + f"script: {value}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: script section must be a list, got {shown}\n"
+
     @pytest.mark.parametrize("access", ['"-"', '""'])
     @pytest.mark.parametrize("attack", [False, True])
     def test_access_without_access_bits_exits_1(self, tmp_path, capsys, access, attack):

@@ -13,9 +13,7 @@ from trusttoken.policy_engine import (
     AccessRequest,
     Actor,
     DenialReason,
-    ObjectId,
     ProcessId,
-    UserId,
     attribute_from_str,
     build_system,
     classify_confidentiality,
@@ -30,10 +28,10 @@ E = AccessAttribute.EXECUTE
 RWE = R | W | E
 NONE = AccessAttribute.NONE
 
-U0, U1 = UserId(0), UserId(1)
+U0, U1 = 0, 1
 P00 = ProcessId(U0, 0)
 P10 = ProcessId(U1, 0)
-O0, O1 = ObjectId(0), ObjectId(1)
+O0, O1 = 0, 1
 
 
 def two_user_model():
@@ -111,7 +109,7 @@ class TestEvaluate:
         assert d is DenialReason.MATRIX_DENY
 
     def test_unknown_user_malformed(self):
-        d = evaluate(two_user_model(), request(user=UserId(9), process=ProcessId(UserId(9), 0)), creds())
+        d = evaluate(two_user_model(), request(user=9, process=ProcessId(9, 0)), creds())
         assert d is DenialReason.MALFORMED
 
     def test_object_missing_from_credentials_denied(self):
@@ -241,9 +239,9 @@ def enumerate_models(max_users=3, max_procs=2, max_objects=3, samples_per_shape=
     for n_users, n_procs, n_objs in itertools.product(
         range(1, max_users + 1), range(1, max_procs + 1), range(1, max_objects + 1)
     ):
-        users = [UserId(u) for u in range(n_users)]
+        users = list(range(n_users))
         processes = [ProcessId(u, p) for u in users for p in range(n_procs)]
-        objects = [ObjectId(o) for o in range(n_objs)]
+        objects = list(range(n_objs))
         for _ in range(samples_per_shape):
             matrices = [
                 AccessMatrix(
@@ -277,7 +275,7 @@ def test_oracle_equivalence_2x2x2_exhaustive():
         m for m in enumerate_models(max_users=2, max_procs=1, max_objects=2, samples_per_shape=1)
         if len(m.users) == 2 and len(m.objects) == 2
     )
-    entries = {o: (f"id{o.index}", f"tok{o.index}") for o in model.objects}
+    entries = {o: (f"id{o}", f"tok{o}") for o in model.objects}
     store = StaticCredentialStore(entries)
     for req in enumerate_requests(model, entries):
         got = "yes" if evaluate(model, req, store) is None else "no"

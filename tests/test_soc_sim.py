@@ -26,10 +26,12 @@ from trusttoken.soc_sim import (
     ReprovisionEvent,
     Topology,
     TransactionIntent,
+    _execute_txn,
     build,
     report,
     run,
 )
+from trusttoken.trust_wrapper import WrappedTransaction
 
 R = AccessAttribute.READ
 RWE = AccessAttribute.READ | AccessAttribute.WRITE | AccessAttribute.EXECUTE
@@ -108,6 +110,20 @@ class TestBuild:
     def test_empty_topology_rejected(self):
         with pytest.raises(ConfigurationError):
             build(Topology(cpus=(), wrapped_ips=(), app_to_ip={}), 1)
+
+    @pytest.mark.parametrize(
+        "cpus, ips",
+        [
+            ((CpuSpec("cpu0", ("app1",)),), (IpSpec("AES", "aes"), IpSpec("DES", "aes"))),
+            ((CpuSpec("cpu0", ("app1",)), CpuSpec("cpu1", ("app1",))), (IpSpec("AES", "aes"),)),
+        ],
+        ids=["object", "app"],
+    )
+    def test_duplicate_name_rejected(self, cpus, ips):
+        # the only guard against wrapping one object twice
+        topo = Topology(cpus=cpus, wrapped_ips=ips, app_to_ip={"app1": "aes"})
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            build(topo, 1)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -298,6 +314,9 @@ class TestAttackChecks:
             (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "flip_bit": -1}),
             (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "flip_bit": 256}),
             (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "flip_bit": float("inf")}),
+            # payloads that are not bytes
+            (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "payload": "abc"}),
+            (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "payload": 5}),
         ],
     )
     def test_rejected_before_the_run(self, kind, params):
@@ -375,6 +394,19 @@ class TestReport:
     def test_cost_histogram(self):
         log = run(build(paper_topology(), 3), benign_script(), 100)
         assert dict(report(log).cycle_cost_histogram) == {2: 5}
+
+
+class TestUnknownTargetId:
+    @pytest.mark.parametrize("mode, cost", [("trusttoken", 2), (MODE_BASELINE, 1)])
+    @pytest.mark.parametrize("target", [-1, 4])
+    def test_denied_malformed_without_indexing(self, mode, cost, target):
+        # a negative id must not reach a name or wrapper from the end of a tuple
+        sim = build(paper_topology(), 3, mode=mode)
+        txn = WrappedTransaction(sim.apps["app1"], target, R, b"", sim.wrappers[0].sideband(), 0, 1)
+        assert not _execute_txn(sim, "app1", txn, [])
+        assert records(sim.log)[-1].detail == {
+            "target": "?", "source": "app1", "reason": "malformed", "cost": cost}
+        assert sim.wrappers[0].stub_invocations == 0
 
 
 # Text with the characters JSON must escape: quotes, backslashes, control

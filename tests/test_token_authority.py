@@ -9,9 +9,7 @@ from trusttoken.policy_engine import (
     AccessRequest,
     DenialReason,
     IntegrityLevel,
-    ObjectId,
     ProcessId,
-    UserId,
     build_system,
     evaluate,
 )
@@ -29,9 +27,9 @@ from trusttoken.trust_wrapper import SidebandSignals, WrappedTransaction
 
 RWE = AccessAttribute.READ | AccessAttribute.WRITE | AccessAttribute.EXECUTE
 
-OBJECTS = [ObjectId(i) for i in range(4)]  # aes, des, trng, rsa
+OBJECTS = list(range(4))  # aes, des, trng, rsa
 IP_LIST = [(o, IntegrityLevel.HIGH) for o in OBJECTS]
-USER = UserId(0)
+USER = 0
 PROC = ProcessId(USER, 0)
 
 
@@ -164,7 +162,7 @@ class TestAuthorize:
 
     def test_unknown_object_malformed(self, table, permissive_model):
         creds = release_all(table)
-        txn = txn_for(creds, OBJECTS[0], ObjectId(17))
+        txn = txn_for(creds, OBJECTS[0], 17)
         outcome = authorize(table, txn, permissive_model)
         assert outcome.reason is DenialReason.MALFORMED
 
@@ -175,7 +173,7 @@ def test_authorize_is_evaluate_on_high_targets(chip, default_params):
     levels = [IntegrityLevel.HIGH, IntegrityLevel.HIGH, IntegrityLevel.LOW, IntegrityLevel.HIGH]
     table = provision(chip, default_params, list(zip(OBJECTS, levels)), master_seed=5)
     creds = {obj: table.release_credentials(obj) for obj in OBJECTS}
-    u0, u1 = UserId(0), UserId(1)
+    u0, u1 = 0, 1
     procs = [ProcessId(u0, 0), ProcessId(u0, 1), ProcessId(u1, 0)]
     R, W, E = AccessAttribute.READ, AccessAttribute.WRITE, AccessAttribute.EXECUTE
     N = AccessAttribute.NONE
@@ -187,9 +185,9 @@ def test_authorize_is_evaluate_on_high_targets(chip, default_params):
 
     checked, reasons = 0, set()
     for proc in procs + [ProcessId(u0, 7)]:
-        for target in OBJECTS + [ObjectId(17)]:
+        for target in OBJECTS + [17]:
             ip_id, token = creds.get(target, creds[OBJECTS[0]])
-            other_id = creds[OBJECTS[(target.index + 1) % len(OBJECTS)]][0]
+            other_id = creds[OBJECTS[(target + 1) % len(OBJECTS)]][0]
             for sent_id, sent_token in ((ip_id, token), (ip_id, token.flipped(3)), (other_id, token)):
                 for bits in range(8):
                     kind = AccessAttribute(bits)
@@ -234,7 +232,7 @@ class TestIntegrityTransitions:
         assert lookup_integrity(table, OBJECTS[1]) is IntegrityLevel.HIGH
 
     def test_unknown_object(self, table):
-        outcome = request_integrity_transition(table, ObjectId(9), ZERO_TOKEN, IntegrityLevel.LOW)
+        outcome = request_integrity_transition(table, 9, ZERO_TOKEN, IntegrityLevel.LOW)
         assert outcome.reason is DenialReason.MALFORMED
 
     def test_low_disables_isolation(self, table, permissive_model):

@@ -1,23 +1,18 @@
 import pytest
 
 from trusttoken.errors import ConfigurationError, ParameterError, SimulationFault
-from trusttoken.policy_engine import AccessAttribute, IntegrityLevel, ObjectId, ProcessId, UserId
+from trusttoken.policy_engine import AccessAttribute, IntegrityLevel, ProcessId
 from trusttoken.token_authority import AuthorizationOutcome, IpId, Token
-from trusttoken.trust_wrapper import (
-    SidebandSignals,
-    WrapperRegistry,
-    standard_stub,
-)
+from trusttoken.trust_wrapper import SidebandSignals, TrustWrapper, standard_stub
 
-PROC = ProcessId(UserId(0), 0)
-OBJ = ObjectId(0)
+PROC = ProcessId(0, 0)
+OBJ = 0
 TOKEN = Token(int("10" * 128, 2))
 
 
 @pytest.fixture()
 def wrapper():
-    registry = WrapperRegistry()
-    w = registry.wrap(standard_stub("AES"), OBJ, IntegrityLevel.HIGH)
+    w = TrustWrapper(standard_stub("AES"), OBJ, IntegrityLevel.HIGH)
     w.install_credentials(IpId(3), TOKEN)
     return w
 
@@ -26,11 +21,11 @@ class TestStubs:
     @pytest.mark.parametrize("name", ["AES", "DES", "TRNG", "RSA"])
     def test_deterministic(self, name):
         stub = standard_stub(name)
-        assert stub.transform(b"hello") == stub.transform(b"hello")
+        assert stub(b"hello") == stub(b"hello")
 
     def test_distinguishable(self):
         payload = b"\x01\x02\x03\x04"
-        outputs = {name: standard_stub(name).transform(payload) for name in ("AES", "DES", "TRNG", "RSA")}
+        outputs = {name: standard_stub(name)(payload) for name in ("AES", "DES", "TRNG", "RSA")}
         assert len(set(outputs.values())) == 4
 
     def test_unknown_stub(self):
@@ -58,24 +53,9 @@ class TestWireEncoding:
         assert encoded[0] == 0x80
 
 
-class TestRegistry:
-    def test_double_wrap_rejected(self):
-        registry = WrapperRegistry()
-        registry.wrap(standard_stub("AES"), OBJ, IntegrityLevel.HIGH)
-        with pytest.raises(ConfigurationError):
-            registry.wrap(standard_stub("DES"), OBJ, IntegrityLevel.HIGH)
-
-    def test_lookup(self):
-        registry = WrapperRegistry()
-        w = registry.wrap(standard_stub("AES"), OBJ, IntegrityLevel.HIGH)
-        assert registry[OBJ] is w
-        assert OBJ in registry
-
-
 class TestIssue:
     def test_unprovisioned_rejected(self):
-        registry = WrapperRegistry()
-        w = registry.wrap(standard_stub("AES"), OBJ, IntegrityLevel.HIGH)
+        w = TrustWrapper(standard_stub("AES"), OBJ, IntegrityLevel.HIGH)
         with pytest.raises(ConfigurationError):
             w.issue(OBJ, AccessAttribute.READ, b"", source=PROC, clock=0)
 
@@ -100,7 +80,7 @@ class TestDeliver:
     def test_granted_runs_stub(self, wrapper):
         txn = wrapper.issue(OBJ, AccessAttribute.READ, b"abc", source=PROC, clock=0)
         outcome = AuthorizationOutcome(True, 2, serial=txn.serial)
-        assert wrapper.deliver(txn, outcome) == wrapper.stub.transform(b"abc")
+        assert wrapper.deliver(txn, outcome) == wrapper.stub(b"abc")
         assert wrapper.stub_invocations == 1
 
     def test_denied_never_reaches_stub(self, wrapper):
