@@ -291,7 +291,6 @@ def reliability(
     challenge: Challenge,
     n_measurements: int,
     params: PufParams,
-    measurement_seed_base: int = 0,
 ) -> float:
     """100 minus the mean fractional intra-chip Hamming distance (percent)
     of noisy remeasurements against the noiseless reference response."""
@@ -301,7 +300,7 @@ def reliability(
     reference = measure_response(chip, challenge, 0, quiet)
     total = 0.0
     for m in range(n_measurements):
-        remeasured = measure_response(chip, challenge, measurement_seed_base + m, params)
+        remeasured = measure_response(chip, challenge, m, params)
         total += fractional_hamming(reference, remeasured)
     return 100.0 - 100.0 * total / n_measurements
 
@@ -318,12 +317,12 @@ class PopulationMetrics:
     reliability_pct: float
     pairwise_distances: tuple[tuple[int, int, int, int], ...]  # (challenge, chip_a, chip_b, bits)
 
-    def fraction_in_band(self, lo: float = 0.40, hi: float = 0.60) -> float:
-        """Fraction of pairwise distances inside the [lo, hi] fractional band."""
+    def fraction_in_band(self) -> float:
+        """Fraction of pairwise distances inside the 40-60% fractional band."""
         if not self.pairwise_distances:
             return 0.0
-        width = self.response_bits
-        inside = sum(1 for _, _, _, d in self.pairwise_distances if lo * width <= d <= hi * width)
+        lo, hi = 0.40 * self.response_bits, 0.60 * self.response_bits
+        inside = sum(1 for _, _, _, d in self.pairwise_distances if lo <= d <= hi)
         return inside / len(self.pairwise_distances)
 
 
@@ -344,12 +343,12 @@ def evaluate_population(
     n_challenges: int,
     master_seed: int,
     params: PufParams,
-    reliability_measurements: int = 100,
 ) -> PopulationMetrics:
     """Run a full metric campaign over a seeded chip population.
 
     Uniqueness and the pairwise-distance list use noiseless measurements;
-    reliability uses params.noise_sigma (100% exactly when it is zero).
+    reliability uses 100 remeasurements of chip 0 with params.noise_sigma
+    (100% exactly when it is zero).
     """
     if n_chips < 2:
         raise ParameterError("campaign needs at least 2 chips")
@@ -368,9 +367,7 @@ def evaluate_population(
         pairwise.extend(zip(itertools.repeat(cv), first, second, dists.tolist()))
 
     width = params.response_bits
-    rel = reliability(
-        chips[0], Challenge(challenge_values[0]), max(2, reliability_measurements), params
-    )
+    rel = reliability(chips[0], Challenge(challenge_values[0]), 100, params)
     return PopulationMetrics(
         n_chips=n_chips,
         n_challenges=n_challenges,

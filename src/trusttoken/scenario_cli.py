@@ -77,15 +77,13 @@ def parse_topology(section: dict) -> Topology:
 
 
 def parse_script(entries) -> list:
-    entries = entries or []
+    entries = [] if entries is None else entries
     if not isinstance(entries, list):
         raise ConfigurationError(f"script section must be a list, got {entries!r}")
     script = []
     for i, raw in enumerate(entries):
         try:
             cycle = int(raw["cycle"])
-            if cycle < 0:
-                raise ConfigurationError(f"script entry {i}: cycle must be >= 0, got {cycle}")
             kind = str(raw.get("type", "access"))
             if kind == "access":
                 script.append(
@@ -123,7 +121,7 @@ def parse_script(entries) -> list:
 
 
 def parse_puf_params(section) -> PufParams:
-    if not section:
+    if section is None:
         return PufParams()
     if not isinstance(section, dict):
         raise ConfigurationError(f"puf section must be a mapping, got {section!r}")

@@ -10,7 +10,6 @@ signal-gated isolation that the modeled attacks defeat, for contrast.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -252,16 +251,6 @@ class Simulation:
                 # boot-time credentials that forge, replay and stolen-token attacks reuse
                 self._attack_surface[self.object_names[obj]] = (ip_id, token)
 
-    def state_digest(self) -> str:
-        """Deterministic hash of the initial state (chip, ids, topology)."""
-        h = hashlib.sha256()
-        h.update(repr(self.topology).encode())
-        h.update(repr(self.chip.base_frequencies).encode())
-        for obj, _ in self.ip_list:
-            h.update(repr((obj, self.table.ip_id_of(obj).value)).encode())
-        h.update(str(self.epoch).encode())
-        return h.hexdigest()
-
     # -- authorization paths ----------------------------------------------
 
     def _authorize(self, txn: WrappedTransaction) -> AuthorizationOutcome:
@@ -302,25 +291,28 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
     Every transaction intent yields exactly one issue and one grant/deny
     record; granted payloads produce a response record cycle_cost cycles
     later.  Entries at or beyond max_cycles have no effect, but every
-    attack and access is checked before the first event.  A simulation
-    runs once; a second call raises SimulationFault.
+    entry's cycle, attack and access is checked before the first event.
+    A simulation runs once; a second call raises SimulationFault.
     """
     if sim.ran:
         raise SimulationFault("this simulation has already run; build a new one")
     sim.ran = True
     for i, entry in enumerate(script):
-        access = None
-        if isinstance(entry, TransactionIntent):
-            access = entry.attribute
-        elif isinstance(entry, AttackInjection):
-            try:
+        try:
+            if not isinstance(entry.cycle, int) or entry.cycle < 0:
+                raise ConfigurationError(f"cycle must be >= 0, got {entry.cycle!r}")
+            access = None
+            if isinstance(entry, TransactionIntent):
+                _check_access(entry.attribute, entry.payload, "access")
+                access = entry.attribute
+            elif isinstance(entry, AttackInjection):
                 _check_attack(sim, entry)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"script entry {i}: {exc}") from exc
-            if entry.kind is AttackKind.CROSS_IP_ACCESS:
-                access = entry.params.get("attribute", AccessAttribute.READ)
-        if access == AccessAttribute.NONE:
-            raise ConfigurationError(f"script entry {i}: an access needs at least one access bit")
+                if entry.kind is AttackKind.CROSS_IP_ACCESS:
+                    access = entry.params.get("attribute", AccessAttribute.READ)
+            if access == AccessAttribute.NONE:
+                raise ConfigurationError("an access needs at least one access bit")
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"script entry {i}: {exc}") from exc
     # sorted is stable: it keeps script order within a cycle
     entries = sorted((e for e in script if e.cycle < max_cycles), key=lambda e: e.cycle)
     # deferred response records (due cycle, FIFO tie-break, actor, detail), sorted
@@ -337,7 +329,7 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
         flush(cycle)
         sim.cycle = cycle
         if isinstance(entry, TransactionIntent):
-            _run_intent(sim, entry, pending)
+            _access(sim, entry.app, entry.target, entry.attribute, entry.payload, pending)
         elif isinstance(entry, ReprovisionEvent):
             sim.epoch += 1
             sim._provision(initial=False)
@@ -373,30 +365,44 @@ def _execute_txn(sim: Simulation, actor: str, txn: WrappedTransaction, pending) 
     return False
 
 
-def _run_intent(sim: Simulation, intent: TransactionIntent, pending) -> bool:
-    sim.log.append(sim.cycle, intent.app, "issue", target=intent.target)
-    proc = sim.apps.get(intent.app)
-    target = sim.objects.get(intent.target)
-    if proc is None or target is None:
+def _access(sim: Simulation, app: str, target: str, attribute: AccessAttribute,
+            payload: bytes, pending, sideband: Optional[SidebandSignals] = None) -> bool:
+    """One bus access from app to target: log the issue record, deny an
+    unknown app or target as malformed, else authorize and deliver.  The
+    app's own wrapper issues the transaction unless an attacker-chosen
+    sideband is given; that bypasses the wrapper and is the only forgery
+    path in the simulator.  Returns granted."""
+    sim.log.append(sim.cycle, app, "issue", target=target)
+    proc = sim.apps.get(app)
+    obj = sim.objects.get(target)
+    if proc is None or obj is None:
         sim.log.append(
             sim.cycle, "controller", "deny",
-            target=intent.target, source=intent.app,
-            reason=DenialReason.MALFORMED.value, cost=1,
+            target=target, source=app, reason=DenialReason.MALFORMED.value, cost=1,
         )
         return False
-    wrapper = sim.wrappers[sim.objects[sim.topology.app_to_ip[intent.app]]]
-    txn = wrapper.issue(
-        target, intent.attribute, intent.payload, source=proc, clock=sim.cycle
-    )
-    return _execute_txn(sim, intent.app, txn, pending)
+    if sideband is None:
+        wrapper = sim.wrappers[sim.objects[sim.topology.app_to_ip[app]]]
+        txn = wrapper.issue(obj, attribute, payload, source=proc)
+    else:
+        sim._forge_serial -= 1
+        txn = WrappedTransaction(proc, obj, attribute, payload, sideband, sim._forge_serial)
+    return _execute_txn(sim, app, txn, pending)
+
+
+def _check_access(attribute, payload, what: str) -> None:
+    if not isinstance(attribute, AccessAttribute):
+        raise ConfigurationError(f"{what} attribute must be an AccessAttribute, got {attribute!r}")
+    if not isinstance(payload, bytes):
+        raise ConfigurationError(f"{what} payload must be bytes, got {payload!r}")
 
 
 def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
     """Reject an attack the run could not carry out: a param key that is
     not a str or that clashes with a field of its attack_fired record, a
-    missing or unknown app or target, an attribute that is not an
-    AccessAttribute, a payload that is not bytes, a flip_bit outside
-    0..255, or an unknown new_level.
+    missing or unknown app or target, an attribute or payload that
+    _check_access rejects, a flip_bit outside 0..255, or an unknown
+    new_level.
     A cross-IP access may name an unknown app or target; it then runs as
     a malformed transaction and is denied."""
     p = attack.params
@@ -416,10 +422,7 @@ def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
     if (attack.kind is AttackKind.TAMPER_INTERCONNECT_SIGNAL and "app" not in p
             and not sim.topology.cpus[0].apps):
         raise ConfigurationError(f"{kind} attack needs 'app': the first CPU runs no app")
-    if not isinstance(p.get("attribute", AccessAttribute.READ), AccessAttribute):
-        raise ConfigurationError(f"{kind} attack attribute must be an AccessAttribute")
-    if not isinstance(p.get("payload", b""), bytes):
-        raise ConfigurationError(f"{kind} attack payload must be bytes, got {p['payload']!r}")
+    _check_access(p.get("attribute", AccessAttribute.READ), p.get("payload", b""), f"{kind} attack")
     try:
         flip_bit = int(p.get("flip_bit", 0))
     except (OverflowError, TypeError, ValueError) as exc:
@@ -440,32 +443,20 @@ def _run_attack(sim: Simulation, attack: AttackInjection, pending) -> None:
     detail: dict = {"attack": attack.kind.value}
 
     if attack.kind is AttackKind.CROSS_IP_ACCESS:
-        intent = TransactionIntent(
-            cycle=sim.cycle,
-            app=str(p["app"]),
-            target=str(p["target"]),
-            attribute=p.get("attribute", AccessAttribute.READ),
-            payload=p.get("payload", b""),
+        blocked = not _access(
+            sim, str(p["app"]), str(p["target"]),
+            p.get("attribute", AccessAttribute.READ), p.get("payload", b""), pending,
         )
-        blocked = not _run_intent(sim, intent, pending)
 
     elif attack.kind in (AttackKind.FORGE_TOKEN, AttackKind.REPLAY_STALE_TOKEN):
-        app = str(p["app"])
         target = str(p["target"])
         ip_id, token = sim._attack_surface[target]
         if attack.kind is AttackKind.FORGE_TOKEN:
             token = token.flipped(int(p.get("flip_bit", 0)))
-        sim.log.append(sim.cycle, app, "issue", target=target)
-        # attacker-chosen sideband signals, bypassing the wrapper: the only
-        # forgery path in the simulator
-        sim._forge_serial -= 1
-        txn = WrappedTransaction(
-            source=sim.apps[app], target=sim.objects[target],
-            kind=p.get("attribute", AccessAttribute.READ), payload=b"",
-            sideband=SidebandSignals(token, ip_id, IntegrityLevel.HIGH),
-            issue_cycle=sim.cycle, serial=sim._forge_serial,
+        blocked = not _access(
+            sim, str(p["app"]), target, p.get("attribute", AccessAttribute.READ), b"", pending,
+            SidebandSignals(token, ip_id, IntegrityLevel.HIGH),
         )
-        blocked = not _execute_txn(sim, app, txn, pending)
 
     elif attack.kind is AttackKind.TAMPER_INTEGRITY_LEVEL:
         target = str(p["target"])

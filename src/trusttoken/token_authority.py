@@ -85,15 +85,11 @@ class TokenTable:
     (the boot-stage push to its wrapper).
     """
 
-    def __init__(self, entries: dict[int, _Entry], epoch: int = 0):
+    def __init__(self, entries: dict[int, _Entry]):
         self._entries = dict(entries)
-        self.epoch = epoch
 
     def __contains__(self, obj: int) -> bool:
         return obj in self._entries
-
-    def ip_id_of(self, obj: int) -> IpId:
-        return self._require(obj).ip_id
 
     def check_credentials(self, obj: int, ip_id, token) -> Optional[DenialReason]:
         if obj not in self._entries:
@@ -163,7 +159,7 @@ def provision(
             break
         seen_tokens.add(token.bits)
         entries[obj] = _Entry(ip_id=IpId(index), token=token, integrity=level)
-    return TokenTable(entries, epoch=epoch)
+    return TokenTable(entries)
 
 
 def authorize(table: TokenTable, txn, policy: SystemModel) -> AuthorizationOutcome:

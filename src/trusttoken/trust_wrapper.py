@@ -1,8 +1,9 @@
 """Security wrapper around an untrusted IP core.
 
-The wrapper holds its provisioned (ar_id, ar_token) privately, stamps
-them onto every transaction it issues, and gates the data channel: the
-hosted stub runs only on transactions the controller has granted.
+The wrapper builds its sideband signals once from each provisioned
+(ar_id, ar_token), stamps them onto every transaction it issues, and
+gates the data channel: the hosted stub runs only on transactions the
+controller has granted.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class WrappedTransaction:
     kind: AccessAttribute
     payload: bytes
     sideband: SidebandSignals
-    issue_cycle: int
     serial: int
 
 
@@ -87,31 +87,20 @@ def standard_stub(name: str) -> Callable[[bytes], bytes]:
 
 class TrustWrapper:
     """One wrapped IP: holds the stub, its object id, and (after
-    provisioning) its private credentials."""
+    provisioning) the sideband signals its transactions carry."""
 
     def __init__(self, stub: Callable[[bytes], bytes], obj: int,
                  declared_integrity: IntegrityLevel):
         self.stub = stub
         self.object = obj
         self.declared_integrity = declared_integrity
-        self._ip_id: Optional[IpId] = None
-        self._token: Optional[Token] = None
+        self.sideband: Optional[SidebandSignals] = None  # set by provisioning
         self.stub_invocations = 0
         self._issue_counter = 0
 
-    @property
-    def provisioned(self) -> bool:
-        return self._token is not None
-
     def install_credentials(self, ip_id: IpId, token: Token) -> None:
         """Controller-side boot push; overwritten on re-provisioning."""
-        self._ip_id = ip_id
-        self._token = token
-
-    def sideband(self) -> SidebandSignals:
-        if not self.provisioned:
-            raise ConfigurationError(f"wrapper for {self.object} is not provisioned")
-        return SidebandSignals(self._token, self._ip_id, self.declared_integrity)
+        self.sideband = SidebandSignals(token, ip_id, self.declared_integrity)
 
     def issue(
         self,
@@ -120,10 +109,10 @@ class TrustWrapper:
         payload: bytes,
         *,
         source: ProcessId,
-        clock: int,
     ) -> WrappedTransaction:
         """Create a transaction carrying this wrapper's own sideband verbatim."""
-        sideband = self.sideband()
+        if self.sideband is None:
+            raise ConfigurationError(f"wrapper for {self.object} is not provisioned")
         if kind == AccessAttribute.NONE:
             raise ParameterError("transaction kind needs at least one access bit")
         self._issue_counter += 1
@@ -132,8 +121,7 @@ class TrustWrapper:
             target=target,
             kind=kind,
             payload=bytes(payload),
-            sideband=sideband,
-            issue_cycle=clock,
+            sideband=self.sideband,
             serial=self._issue_counter,
         )
 

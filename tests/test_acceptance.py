@@ -55,7 +55,7 @@ def test_criterion_3_reliability():
 
 def test_criterion_4_hamming_band(campaign):
     metrics, _ = campaign
-    frac = metrics.fraction_in_band(0.40, 0.60)
+    frac = metrics.fraction_in_band()
     assert frac >= 0.95
     ok(4, f"{100 * frac:.1f}% of pairwise distances in the 40-60% band (>= 95%)")
 

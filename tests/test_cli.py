@@ -80,8 +80,7 @@ class TestRun:
         cfg = tmp_path / "cycle.cfg"
         cfg.write_text(bundled_config("smoke.cfg").read_text().replace("cycle: 1,", "cycle: -4,"))
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: script entry 0: cycle") and err.count("\n") == 1
+        assert capsys.readouterr().err == "error: script entry 0: cycle must be >= 0, got -4\n"
 
     def test_non_integer_oscillator_count_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "puf.cfg"
@@ -135,10 +134,13 @@ class TestRun:
              " app: app1, target: aes, flip_bit: .inf}"),
             ("max_cycles: 100", "max_cycles: 100\npuf: [1]"),
             ("max_cycles: 100", "max_cycles: 100\npuf: abc"),
+            ("max_cycles: 100", "max_cycles: 100\npuf: false"),
+            ("max_cycles: 100", "max_cycles: 100\npuf: []"),
+            ("max_cycles: 100", "max_cycles: 100\npuf: 0"),
             ("app_map: {app1: aes}", "app_map: [1]"),
         ],
         ids=["seed-inf", "max_cycles-inf", "cycle-inf", "flip_bit-inf", "puf-list", "puf-str",
-             "app_map-list"],
+             "puf-false", "puf-empty-list", "puf-zero", "app_map-list"],
     )
     def test_config_value_of_the_wrong_kind_exits_1(self, tmp_path, capsys, old, new):
         text = bundled_config("smoke.cfg").read_text()
@@ -149,13 +151,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("value, shown", [("5", "5"), ("true", "True")])
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("5", "5"), ("true", "True"), ("false", "False"), ("0", "0"), ('""', "''"), ("{}", "{}")],
+    )
     def test_script_that_is_not_a_list_exits_1(self, tmp_path, capsys, value, shown):
         text = bundled_config("smoke.cfg").read_text()
         cfg = tmp_path / "script.cfg"
         cfg.write_text(text[: text.index("script:")] + f"script: {value}\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
         assert capsys.readouterr().err == f"error: script section must be a list, got {shown}\n"
+
+    def test_null_sections_are_empty(self, tmp_path, capsys):
+        text = bundled_config("smoke.cfg").read_text()
+        cfg = tmp_path / "null.cfg"
+        cfg.write_text(text[: text.index("script:")] + "script:\npuf: null\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+        assert capsys.readouterr().out == "mode=trusttoken verdict=NONE grants=0 denies=0\n"
 
     @pytest.mark.parametrize("access", ['"-"', '""'])
     @pytest.mark.parametrize("attack", [False, True])

@@ -53,7 +53,7 @@ def txn_for(creds, source_obj, target_obj, kind=AccessAttribute.READ, serial=1):
     sideband = SidebandSignals(token, ip_id, IntegrityLevel.HIGH)
     return WrappedTransaction(
         source=PROC, target=target_obj, kind=kind, payload=b"\x01",
-        sideband=sideband, issue_cycle=0, serial=serial,
+        sideband=sideband, serial=serial,
     )
 
 
@@ -102,7 +102,8 @@ class TestProvision:
         assert release_all(t1) == release_all(t2)
 
     def test_sequential_ids(self, table):
-        assert [table.ip_id_of(o).value for o in OBJECTS] == [0, 1, 2, 3]
+        creds = release_all(table)
+        assert [creds[o][0].value for o in OBJECTS] == [0, 1, 2, 3]
 
     def test_empty_list_rejected(self, chip, default_params):
         with pytest.raises(ProvisioningError):
@@ -122,8 +123,6 @@ class TestProvision:
         public = [n for n in dir(table) if not n.startswith("_")]
         assert set(public) == {
             "check_credentials",
-            "epoch",
-            "ip_id_of",
             "release_credentials",
         }
 
@@ -140,7 +139,7 @@ class TestAuthorize:
         creds = release_all(table)
         ip_id, token = creds[OBJECTS[0]]
         sideband = SidebandSignals(token.flipped(0), ip_id, IntegrityLevel.HIGH)
-        txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", sideband, 0, 1)
+        txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", sideband, 1)
         outcome = authorize(table, txn, permissive_model)
         assert not outcome.granted
         assert outcome.reason is DenialReason.TOKEN_MISMATCH
@@ -150,7 +149,7 @@ class TestAuthorize:
         _, token = creds[OBJECTS[0]]
         other_id, _ = creds[OBJECTS[1]]
         sideband = SidebandSignals(token, other_id, IntegrityLevel.HIGH)
-        txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", sideband, 0, 1)
+        txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", sideband, 1)
         outcome = authorize(table, txn, permissive_model)
         assert outcome.reason is DenialReason.ID_MISMATCH
 
@@ -192,7 +191,7 @@ def test_authorize_is_evaluate_on_high_targets(chip, default_params):
                 for bits in range(8):
                     kind = AccessAttribute(bits)
                     sideband = SidebandSignals(sent_token, sent_id, IntegrityLevel.HIGH)
-                    txn = WrappedTransaction(proc, target, kind, b"", sideband, 0, checked)
+                    txn = WrappedTransaction(proc, target, kind, b"", sideband, checked)
                     outcome = authorize(table, txn, model)
                     assert outcome.serial == checked
                     checked += 1
@@ -241,7 +240,7 @@ class TestIntegrityTransitions:
         request_integrity_transition(table, OBJECTS[0], token, IntegrityLevel.LOW)
         # forged credentials now pass, at pass-through cost 1
         forged = SidebandSignals(ZERO_TOKEN, IpId(200), IntegrityLevel.HIGH)
-        txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", forged, 0, 1)
+        txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", forged, 1)
         outcome = authorize(table, txn, permissive_model)
         assert outcome.granted and outcome.cycle_cost == 1
 

@@ -57,28 +57,28 @@ class TestIssue:
     def test_unprovisioned_rejected(self):
         w = TrustWrapper(standard_stub("AES"), OBJ, IntegrityLevel.HIGH)
         with pytest.raises(ConfigurationError):
-            w.issue(OBJ, AccessAttribute.READ, b"", source=PROC, clock=0)
+            w.issue(OBJ, AccessAttribute.READ, b"", source=PROC)
 
     def test_sideband_verbatim(self, wrapper):
-        txn = wrapper.issue(OBJ, AccessAttribute.READ, b"x", source=PROC, clock=5)
+        txn = wrapper.issue(OBJ, AccessAttribute.READ, b"x", source=PROC)
         assert txn.sideband.ar_id == IpId(3)
         assert txn.sideband.ar_token == TOKEN
-        assert txn.issue_cycle == 5
+        assert txn.sideband is wrapper.sideband
 
     def test_serials_distinct(self, wrapper):
-        t1 = wrapper.issue(OBJ, AccessAttribute.READ, b"", source=PROC, clock=1)
-        t2 = wrapper.issue(OBJ, AccessAttribute.READ, b"", source=PROC, clock=2)
-        assert t1.sideband == t2.sideband
+        t1 = wrapper.issue(OBJ, AccessAttribute.READ, b"", source=PROC)
+        t2 = wrapper.issue(OBJ, AccessAttribute.READ, b"", source=PROC)
+        assert t1.sideband is t2.sideband
         assert t1.serial != t2.serial
 
     def test_empty_kind_rejected(self, wrapper):
         with pytest.raises(ParameterError):
-            wrapper.issue(OBJ, AccessAttribute.NONE, b"", source=PROC, clock=0)
+            wrapper.issue(OBJ, AccessAttribute.NONE, b"", source=PROC)
 
 
 class TestDeliver:
     def test_granted_runs_stub(self, wrapper):
-        txn = wrapper.issue(OBJ, AccessAttribute.READ, b"abc", source=PROC, clock=0)
+        txn = wrapper.issue(OBJ, AccessAttribute.READ, b"abc", source=PROC)
         outcome = AuthorizationOutcome(True, 2, serial=txn.serial)
         assert wrapper.deliver(txn, outcome) == wrapper.stub(b"abc")
         assert wrapper.stub_invocations == 1
@@ -87,13 +87,13 @@ class TestDeliver:
         from trusttoken.policy_engine import DenialReason
 
         for i in range(50):
-            txn = wrapper.issue(OBJ, AccessAttribute.READ, bytes([i]), source=PROC, clock=i)
+            txn = wrapper.issue(OBJ, AccessAttribute.READ, bytes([i]), source=PROC)
             outcome = AuthorizationOutcome(False, 2, DenialReason.TOKEN_MISMATCH, serial=txn.serial)
             assert wrapper.deliver(txn, outcome) is None
         assert wrapper.stub_invocations == 0
 
     def test_mismatched_outcome_faults(self, wrapper):
-        txn = wrapper.issue(OBJ, AccessAttribute.READ, b"", source=PROC, clock=0)
+        txn = wrapper.issue(OBJ, AccessAttribute.READ, b"", source=PROC)
         outcome = AuthorizationOutcome(True, 2, serial=txn.serial + 1)
         with pytest.raises(SimulationFault):
             wrapper.deliver(txn, outcome)
