@@ -271,12 +271,17 @@ class Simulation:
         return AuthorizationOutcome(False, 1, DenialReason.MATRIX_DENY, serial=txn.serial)
 
 
+def _is_count(value) -> bool:
+    """An int >= 0 that is not a bool (YAML reads true as a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def build(topology: Topology, master_seed: int, mode: str = MODE_TRUSTTOKEN,
           params: Optional[PufParams] = None) -> Simulation:
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if master_seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {master_seed}")
+    if not _is_count(master_seed):
+        raise ConfigurationError(f"seed must be an integer >= 0, got {master_seed!r}")
     topology.validate()
     return Simulation(topology, master_seed, mode, params or PufParams())
 
@@ -290,16 +295,21 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
 
     Every transaction intent yields exactly one issue and one grant/deny
     record; granted payloads produce a response record cycle_cost cycles
-    later.  Entries at or beyond max_cycles have no effect, but every
-    entry's cycle, attack and access is checked before the first event.
+    later.  Entries at or beyond max_cycles have no effect, but
+    max_cycles and every entry's type, cycle, attack and access are
+    checked before the first event.
     A simulation runs once; a second call raises SimulationFault.
     """
     if sim.ran:
         raise SimulationFault("this simulation has already run; build a new one")
     sim.ran = True
+    if not _is_count(max_cycles):
+        raise ConfigurationError(f"max_cycles must be an integer >= 0, got {max_cycles!r}")
     for i, entry in enumerate(script):
         try:
-            if not isinstance(entry.cycle, int) or entry.cycle < 0:
+            if not isinstance(entry, (TransactionIntent, AttackInjection, ReprovisionEvent)):
+                raise ConfigurationError(f"not a script entry: {entry!r}")
+            if not _is_count(entry.cycle):
                 raise ConfigurationError(f"cycle must be >= 0, got {entry.cycle!r}")
             access = None
             if isinstance(entry, TransactionIntent):
@@ -401,8 +411,8 @@ def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
     """Reject an attack the run could not carry out: a param key that is
     not a str or that clashes with a field of its attack_fired record, a
     missing or unknown app or target, an attribute or payload that
-    _check_access rejects, a flip_bit outside 0..255, or an unknown
-    new_level.
+    _check_access rejects, a flip_bit that is not an int in 0..255, or an
+    unknown new_level.
     A cross-IP access may name an unknown app or target; it then runs as
     a malformed transaction and is denied."""
     p = attack.params
@@ -423,12 +433,9 @@ def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
             and not sim.topology.cpus[0].apps):
         raise ConfigurationError(f"{kind} attack needs 'app': the first CPU runs no app")
     _check_access(p.get("attribute", AccessAttribute.READ), p.get("payload", b""), f"{kind} attack")
-    try:
-        flip_bit = int(p.get("flip_bit", 0))
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"flip_bit must be an integer, got {p['flip_bit']!r}") from exc
-    if not 0 <= flip_bit <= 255:
-        raise ConfigurationError(f"flip_bit must be in 0..255, got {flip_bit}")
+    flip_bit = p.get("flip_bit", 0)
+    if not _is_count(flip_bit) or flip_bit > 255:
+        raise ConfigurationError(f"flip_bit must be in 0..255, got {flip_bit!r}")
     if str(p.get("new_level", "LOW")) not in {level.value for level in IntegrityLevel}:
         raise ConfigurationError(f"{kind} attack has unknown new_level {p['new_level']!r}")
 
@@ -452,7 +459,7 @@ def _run_attack(sim: Simulation, attack: AttackInjection, pending) -> None:
         target = str(p["target"])
         ip_id, token = sim._attack_surface[target]
         if attack.kind is AttackKind.FORGE_TOKEN:
-            token = token.flipped(int(p.get("flip_bit", 0)))
+            token = token.flipped(p.get("flip_bit", 0))
         blocked = not _access(
             sim, str(p["app"]), target, p.get("attribute", AccessAttribute.READ), b"", pending,
             SidebandSignals(token, ip_id, IntegrityLevel.HIGH),

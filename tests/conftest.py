@@ -1,5 +1,6 @@
 import pytest
 
+from trusttoken import token_authority
 from trusttoken.puf_model import PufParams, new_chip
 
 
@@ -11,3 +12,18 @@ def default_params():
 @pytest.fixture(scope="session")
 def chip(default_params):
     return new_chip(7, default_params)
+
+
+@pytest.fixture()
+def colliding_draws(monkeypatch):
+    """Make provisioning's second PUF draw repeat its first; returns the
+    list of responses drawn."""
+    draws = []
+    measure_response = token_authority.measure_response
+
+    def measure(*args):
+        draws.append(draws[0] if len(draws) == 1 else measure_response(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(token_authority, "measure_response", measure)
+    return draws

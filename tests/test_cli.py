@@ -138,9 +138,18 @@ class TestRun:
             ("max_cycles: 100", "max_cycles: 100\npuf: []"),
             ("max_cycles: 100", "max_cycles: 100\npuf: 0"),
             ("app_map: {app1: aes}", "app_map: [1]"),
+            # numbers int() would truncate, and a negative max_cycles that drops every entry
+            ("cycle: 1,", "cycle: 1.9,"),
+            ("cycle: 1,", "cycle: true,"),
+            ("seed: 7", "seed: 7.9"),
+            ("max_cycles: 100", "max_cycles: 2.5"),
+            ("max_cycles: 100", "max_cycles: -3"),
+            ("payload: \"00ff\"}", "payload: \"00ff\"}\n  - {cycle: 5, type: attack, kind: forge_token,"
+             " app: app1, target: aes, flip_bit: 1.9}"),
         ],
         ids=["seed-inf", "max_cycles-inf", "cycle-inf", "flip_bit-inf", "puf-list", "puf-str",
-             "puf-false", "puf-empty-list", "puf-zero", "app_map-list"],
+             "puf-false", "puf-empty-list", "puf-zero", "app_map-list", "cycle-float", "cycle-bool",
+             "seed-float", "max_cycles-float", "max_cycles-negative", "flip_bit-float"],
     )
     def test_config_value_of_the_wrong_kind_exits_1(self, tmp_path, capsys, old, new):
         text = bundled_config("smoke.cfg").read_text()

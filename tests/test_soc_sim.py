@@ -125,9 +125,20 @@ class TestBuild:
         with pytest.raises(ConfigurationError, match="duplicate"):
             build(topo, 1)
 
+    def test_token_collision_is_logged(self, colliding_draws):
+        sim = build(paper_topology(), 3)
+        assert records(sim.log) == [
+            (0, "controller", "fault", {"event": "token_collision", "object": 1})
+        ]
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             build(paper_topology(), 1, mode="enclave")
+
+    @pytest.mark.parametrize("seed", [-1, 7.9, True, "7"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+            build(paper_topology(), seed)
 
 
 class TestRun:
@@ -310,6 +321,9 @@ class TestAttackChecks:
             (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "flip_bit": -1}),
             (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "flip_bit": 256}),
             (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "flip_bit": float("inf")}),
+            (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "flip_bit": 1.9}),
+            (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "flip_bit": True}),
+            (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "flip_bit": "1"}),
             # payloads that are not bytes
             (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "payload": "abc"}),
             (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "payload": 5}),
@@ -335,12 +349,22 @@ class TestAttackChecks:
             (TransactionIntent(-5, "app1", "aes", R), "cycle must be >= 0, got -5"),
             (TransactionIntent(2.5, "app1", "aes", R), "cycle must be >= 0, got 2.5"),
             (ReprovisionEvent(-1), "cycle must be >= 0, got -1"),
+            (TransactionIntent(True, "app1", "aes", R), "cycle must be >= 0, got True"),
+            ({"cycle": 1}, "not a script entry"),
+            (None, "not a script entry"),
         ],
     )
     def test_bad_entry_rejected_before_the_run(self, entry, message):
         sim = build(paper_topology(), 3)
         with pytest.raises(ConfigurationError, match=f"script entry 5: {message}"):
             run(sim, benign_script() + [entry], 100)
+        assert len(sim.log) == 0
+
+    @pytest.mark.parametrize("max_cycles", [-1, 2.5, True, "100"])
+    def test_bad_max_cycles_rejected_before_the_run(self, max_cycles):
+        sim = build(paper_topology(), 3)
+        with pytest.raises(ConfigurationError, match="max_cycles must be an integer >= 0"):
+            run(sim, benign_script(), max_cycles)
         assert len(sim.log) == 0
 
     def test_interconnect_tamper_needs_an_app_when_cpu0_runs_none(self):

@@ -113,6 +113,15 @@ class TestProvision:
         with pytest.raises(ProvisioningError):
             provision(chip, default_params, [(OBJECTS[0], IntegrityLevel.HIGH)] * 2, master_seed=1)
 
+    def test_token_collision_rekeys_and_reports(self, chip, default_params, colliding_draws):
+        faults = []
+        t = provision(chip, default_params, IP_LIST, master_seed=99, on_fault=faults.append)
+        # the second IP's first draw repeats the first IP's token
+        assert faults == [{"event": "token_collision", "object": OBJECTS[1]}]
+        tokens = [tok for _, tok in release_all(t).values()]
+        assert len(set(tokens)) == len(tokens)
+        assert len(colliding_draws) == len(OBJECTS) + 1  # one re-key draw
+
     def test_credentials_released_once(self, table):
         table.release_credentials(OBJECTS[0])
         with pytest.raises(ParameterError):
