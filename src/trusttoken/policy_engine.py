@@ -12,6 +12,7 @@ the IP integrator.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntFlag
@@ -29,8 +30,10 @@ class AccessAttribute(IntFlag):
     READ = 4
 
 
+@functools.lru_cache(maxsize=256)
 def attribute_from_str(text: str) -> AccessAttribute:
-    """Parse attribute strings like 'rwe', 'r', 'we'."""
+    """Parse attribute strings like 'rwe', 'r', 'we'.  Cached: a script
+    repeats a few distinct strings many times."""
     attr = AccessAttribute.NONE
     for ch in text.lower():
         if ch == "r":

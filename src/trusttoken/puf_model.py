@@ -68,8 +68,9 @@ class PufParams:
                 f"oscillator_count must be at most 2**32, got {self.oscillator_count}"
             )
         for name in ("nominal_frequency", "process_variation_sigma", "noise_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.oscillator_count < 2 or self.response_bits < 1:
             raise ParameterError("oscillator_count and response_bits must be positive")
         if self.oscillator_count < 2 * self.response_bits:
@@ -91,17 +92,6 @@ class ChipFingerprint:
 
     chip_seed: int
     base_frequencies: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class Challenge:
-    """2-byte challenge input addressing one oscillator pairing."""
-
-    value: int
-
-    def __post_init__(self):
-        if not isinstance(self.value, int) or not 0 <= self.value <= 0xFFFF:
-            raise ParameterError(f"challenge must fit in 2 bytes, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -193,17 +183,20 @@ def new_chip(chip_seed: int, params: PufParams) -> ChipFingerprint:
     return ChipFingerprint(chip_seed=chip_seed, base_frequencies=freqs)
 
 
-def challenge_pairs(challenge: Challenge, params: PufParams) -> np.ndarray:
-    """Deterministic mapping from a challenge to response_bits disjoint
-    oscillator index pairs (shape (response_bits, 2))."""
-    rng = np.random.default_rng([challenge.value, _PAIRING_SALT])
+def challenge_pairs(challenge: int, params: PufParams) -> np.ndarray:
+    """Deterministic mapping from a 2-byte challenge, an int in 0..0xFFFF,
+    to response_bits disjoint oscillator index pairs (shape
+    (response_bits, 2)).  Every response path maps its challenge here."""
+    if not isinstance(challenge, int) or not 0 <= challenge <= 0xFFFF:
+        raise ParameterError(f"challenge must fit in 2 bytes, got {challenge!r}")
+    rng = np.random.default_rng([challenge, _PAIRING_SALT])
     perm = rng.permutation(params.oscillator_count)
     return perm[: 2 * params.response_bits].reshape(params.response_bits, 2)
 
 
 def measure_response(
     chip: ChipFingerprint,
-    challenge: Challenge,
+    challenge: int,
     measurement_seed: int,
     params: PufParams,
 ) -> Response:
@@ -218,9 +211,10 @@ def measure_response(
     _check_u64(measurement_seed, "measurement_seed")
     if len(chip.base_frequencies) != params.oscillator_count:
         raise ParameterError("chip was generated with different params")
+    pairs = challenge_pairs(challenge, params)
     observed = np.asarray(chip.base_frequencies, dtype=float)
     if params.noise_sigma > 0:
-        rng = np.random.default_rng([measurement_seed, challenge.value, _MEASUREMENT_SALT])
+        rng = np.random.default_rng([measurement_seed, challenge, _MEASUREMENT_SALT])
         common = rng.normal(0.0, math.sqrt(_COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma)
         individual = rng.normal(
             0.0,
@@ -228,7 +222,6 @@ def measure_response(
             size=params.oscillator_count,
         )
         observed = observed + common + individual
-    pairs = challenge_pairs(challenge, params)
     above = observed[pairs[:, 0]] > observed[pairs[:, 1]]
     width = params.response_bits
     # packbits fills the last byte's low bits with zeros: shift them off
@@ -254,7 +247,7 @@ def _frequency_matrix(chips, params: PufParams) -> np.ndarray:
     return np.array([c.base_frequencies for c in chips], dtype=float)
 
 
-def _compare_population(freqs: np.ndarray, challenge: Challenge, params: PufParams) -> tuple:
+def _compare_population(freqs: np.ndarray, challenge: int, params: PufParams) -> tuple:
     """Noiseless responses of each row of freqs to one challenge, in one
     array pass: the ones count of each response, and the Hamming distance
     of every row pair in itertools.combinations order, from
@@ -269,7 +262,7 @@ def _compare_population(freqs: np.ndarray, challenge: Challenge, params: PufPara
     return ones, ones[first] + ones[second] - 2 * common[first, second]
 
 
-def uniqueness(chips, challenge: Challenge, params: PufParams) -> float:
+def uniqueness(chips, challenge: int, params: PufParams) -> float:
     """Mean pairwise inter-chip fractional Hamming distance, in percent.
 
     Uses noiseless reference measurements; ideal value is 50%.
@@ -288,7 +281,7 @@ def randomness(response: Response) -> float:
 
 def reliability(
     chip: ChipFingerprint,
-    challenge: Challenge,
+    challenge: int,
     n_measurements: int,
     params: PufParams,
 ) -> float:
@@ -361,13 +354,13 @@ def evaluate_population(
     ones_total = 0
     dist_total = 0
     for cv in challenge_values:
-        ones, dists = _compare_population(freqs, Challenge(cv), params)
+        ones, dists = _compare_population(freqs, cv, params)
         ones_total += int(ones.sum())
         dist_total += int(dists.sum())
         pairwise.extend(zip(itertools.repeat(cv), first, second, dists.tolist()))
 
     width = params.response_bits
-    rel = reliability(chips[0], Challenge(challenge_values[0]), 100, params)
+    rel = reliability(chips[0], challenge_values[0], 100, params)
     return PopulationMetrics(
         n_chips=n_chips,
         n_challenges=n_challenges,

@@ -44,14 +44,16 @@ _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def load_config(path: Path) -> dict:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     try:
         data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
+        # one line: the loader's own marks name "<unicode string>", not the path
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark else str(path)
-        raise ConfigurationError(f"{where}: {exc}") from exc
+        problem = (getattr(exc, "problem", None) or str(exc)).partition("\n")[0]
+        raise ConfigurationError(f"{where}: {problem}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: top level must be a mapping")
     return data

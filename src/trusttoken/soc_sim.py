@@ -30,7 +30,6 @@ from .policy_engine import (
 )
 from .puf_model import PufParams, new_chip
 from .token_authority import (
-    ZERO_TOKEN,
     AuthorizationOutcome,
     authorize,
     provision,
@@ -256,8 +255,9 @@ class Simulation:
     def _authorize(self, txn: WrappedTransaction) -> AuthorizationOutcome:
         """Decide one transaction: ``authorize`` in trusttoken mode, which
         runs every ``evaluate`` stage (unknown reference, foreign process,
-        credentials, empty attribute, matrix) on HIGH targets.  The
-        token-free baseline runs a subset, all at cycle cost 1: unknown
+        credentials, empty attribute, matrix) on HIGH targets, and answers
+        a repeated request from the table's memo.  The uncached token-free
+        baseline runs a subset, all at cycle cost 1: unknown
         target -> MALFORMED; the bypass flags (interconnect check disabled,
         or the target's protection signal cleared) -> grant; then the shared
         matrix rule ``SystemModel.covers`` -> MATRIX_DENY."""
@@ -459,7 +459,7 @@ def _run_attack(sim: Simulation, attack: AttackInjection, pending) -> None:
         target = str(p["target"])
         ip_id, token = sim._attack_surface[target]
         if attack.kind is AttackKind.FORGE_TOKEN:
-            token = token.flipped(p.get("flip_bit", 0))
+            token ^= 1 << 255 - p.get("flip_bit", 0)  # bit 0 is the most significant
         blocked = not _access(
             sim, str(p["app"]), target, p.get("attribute", AccessAttribute.READ), b"", pending,
             SidebandSignals(token, ip_id, IntegrityLevel.HIGH),
@@ -473,7 +473,7 @@ def _run_attack(sim: Simulation, attack: AttackInjection, pending) -> None:
             if p.get("token") == "stolen":
                 presented = sim._attack_surface[target][1]
             else:
-                presented = ZERO_TOKEN
+                presented = 0
             outcome = request_integrity_transition(
                 sim.table, sim.objects[target], presented, new_level
             )

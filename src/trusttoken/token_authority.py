@@ -1,7 +1,9 @@
 """Central token controller: provisioning, runtime authorization, and
 integrity-level transitions.
 
-Tokens are 256-bit PUF responses bound to one wrapped IP each.  The table
+A token (the ar_token sideband value) is a 256-bit PUF response held as an
+int below 2**256, bit 0 being its most significant bit; an ip id (ar_id)
+is an int in 0..255.  Both are bound to one wrapped IP each.  The table
 keeps them private: the only outward path is a one-shot boot-stage
 credential release per object; afterwards tokens flow inward only, for
 comparison.
@@ -23,38 +25,9 @@ from .policy_engine import (
     SystemModel,
     evaluate,
 )
-from .puf_model import Challenge, ChipFingerprint, PufParams, measure_response
+from .puf_model import ChipFingerprint, PufParams, measure_response
 
 _PROVISION_SALT = 0x50524F
-
-
-@dataclass(frozen=True)
-class Token:
-    """256-bit authorization secret (the ar_token sideband value)."""
-
-    bits: int  # bit 0 is the most significant bit, as in a PUF Response
-
-    def __post_init__(self):
-        if not isinstance(self.bits, int) or not 0 <= self.bits < 1 << 256:
-            raise ParameterError("token must be an int of exactly 256 bits")
-
-    def flipped(self, bit: int) -> "Token":
-        """Copy with bit 0..255 inverted (attack-construction helper)."""
-        return Token(self.bits ^ 1 << 255 - bit)
-
-
-ZERO_TOKEN = Token(0)
-
-
-@dataclass(frozen=True)
-class IpId:
-    """8-bit per-IP identifier (the ar_id sideband value)."""
-
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value <= 0xFF:
-            raise ParameterError(f"ip id must fit in 8 bits, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +44,8 @@ class AuthorizationOutcome:
 
 @dataclass
 class _Entry:
-    ip_id: IpId
-    token: Token
+    ip_id: int
+    token: int
     integrity: IntegrityLevel
     released: bool = False
 
@@ -83,10 +56,18 @@ class TokenTable:
     There is deliberately no public token accessor: callers can verify
     presented credentials and release each IP's credentials exactly once
     (the boot-stage push to its wrapper).
+
+    ``_decisions`` memoizes :func:`authorize`: (source, target, kind,
+    ar_token, ar_id) -> (granted, cycle_cost, reason), decided under the
+    ``_policy`` object.  A table starts with an empty memo, and it is
+    cleared whenever a decision input changes: a granted integrity
+    transition, or a call under another policy object.
     """
 
     def __init__(self, entries: dict[int, _Entry]):
         self._entries = dict(entries)
+        self._decisions: dict[tuple, tuple[bool, int, Optional[DenialReason]]] = {}
+        self._policy: Optional[SystemModel] = None
 
     def __contains__(self, obj: int) -> bool:
         return obj in self._entries
@@ -101,7 +82,7 @@ class TokenTable:
             return DenialReason.ID_MISMATCH
         return None
 
-    def release_credentials(self, obj: int) -> tuple[IpId, Token]:
+    def release_credentials(self, obj: int) -> tuple[int, int]:
         """One-shot boot handout of (ar_id, ar_token) for a wrapper."""
         entry = self._require(obj)
         if entry.released:
@@ -125,7 +106,10 @@ def provision(
 ) -> TokenTable:
     """Boot-stage provisioning: draw a distinct challenge per IP in seeded
     random order, derive each token as the noiseless PUF response, and
-    assign sequential 8-bit IDs.
+    assign sequential 8-bit IDs.  Each value's range is fixed here, where
+    it is made: challenges are drawn from 0..0xFFFF, a token is a
+    256-bit response (``response_bits`` must be 256), and at most 256 IPs
+    take the ids 0..255.
 
     A token collision is a logged fault; the colliding IP is re-keyed with
     the next challenge.
@@ -150,15 +134,14 @@ def provision(
     seen_tokens: set[int] = set()
     for index, (obj, level) in enumerate(ip_list):
         while True:
-            challenge = Challenge(next(challenge_order))
-            token = Token(measure_response(chip, challenge, 0, quiet).bits)
-            if token.bits in seen_tokens:
+            token = measure_response(chip, next(challenge_order), 0, quiet).bits
+            if token in seen_tokens:
                 if on_fault is not None:
                     on_fault({"event": "token_collision", "object": obj})
                 continue
             break
-        seen_tokens.add(token.bits)
-        entries[obj] = _Entry(ip_id=IpId(index), token=token, integrity=level)
+        seen_tokens.add(token)
+        entries[obj] = _Entry(ip_id=index, token=token, integrity=level)
     return TokenTable(entries)
 
 
@@ -172,37 +155,52 @@ def authorize(table: TokenTable, txn, policy: SystemModel) -> AuthorizationOutco
     attribute, matrix) and fix the reason; the simulator's baseline mode
     runs only the unknown-target and matrix stages.  A denied payload is
     never delivered (enforced by the wrapper, which requires this outcome).
+
+    A repeated request is answered from the table's memo of decisions
+    (see :class:`TokenTable`); the first one runs the checks above.
     """
+    if policy is not table._policy:
+        table._decisions.clear()
+        table._policy = policy
     target = txn.target
-    if target not in table:
-        return AuthorizationOutcome(False, 2, DenialReason.MALFORMED, serial=txn.serial)
-    if lookup_integrity(table, target) is IntegrityLevel.LOW:
-        return AuthorizationOutcome(True, 1, serial=txn.serial)
-    request = AccessRequest(
-        user=txn.source.owner,
-        process=txn.source,
-        object=target,
-        token=txn.sideband.ar_token,
-        ip_id=txn.sideband.ar_id,
-        attribute=txn.kind,
-    )
-    reason = evaluate(policy, request, table)
-    return AuthorizationOutcome(reason is None, 2, reason, serial=txn.serial)
+    sideband = txn.sideband
+    key = (txn.source, target, txn.kind, sideband.ar_token, sideband.ar_id)
+    decision = table._decisions.get(key)
+    if decision is None:
+        if target not in table:
+            decision = (False, 2, DenialReason.MALFORMED)
+        elif lookup_integrity(table, target) is IntegrityLevel.LOW:
+            decision = (True, 1, None)
+        else:
+            request = AccessRequest(
+                user=txn.source.owner,
+                process=txn.source,
+                object=target,
+                token=sideband.ar_token,
+                ip_id=sideband.ar_id,
+                attribute=txn.kind,
+            )
+            reason = evaluate(policy, request, table)
+            decision = (reason is None, 2, reason)
+        table._decisions[key] = decision
+    return AuthorizationOutcome(*decision, serial=txn.serial)
 
 
 def request_integrity_transition(
     table: TokenTable,
     obj: int,
-    presented_token: Token,
+    presented_token: int,
     new_level: IntegrityLevel,
 ) -> AuthorizationOutcome:
-    """Change an IP's integrity level; requires the IP's own token."""
+    """Change an IP's integrity level; requires the IP's own token.  A
+    granted transition clears the memo of decisions."""
     if obj not in table:
         return AuthorizationOutcome(False, 2, DenialReason.MALFORMED)
     entry = table._require(obj)
     if presented_token != entry.token:
         return AuthorizationOutcome(False, 2, DenialReason.TOKEN_MISMATCH)
     entry.integrity = new_level
+    table._decisions.clear()
     return AuthorizationOutcome(True, 2)
 
 

@@ -14,22 +14,16 @@ from typing import Callable, Optional
 
 from .errors import ConfigurationError, ParameterError, SimulationFault
 from .policy_engine import AccessAttribute, IntegrityLevel, ProcessId
-from .token_authority import AuthorizationOutcome, IpId, Token
+from .token_authority import AuthorizationOutcome
 
 
 @dataclass(frozen=True)
 class SidebandSignals:
     """The extra bus signals: 256-bit token, 8-bit id, 1-bit integrity."""
 
-    ar_token: Token
-    ar_id: IpId
+    ar_token: int
+    ar_id: int
     ar_integrity: IntegrityLevel
-
-    def encode(self) -> bytes:
-        """Wire encoding: 32 token bytes big-endian, 1 id byte, 1 flags
-        byte whose LSB is the integrity bit (HIGH = 1)."""
-        flags = 1 if self.ar_integrity is IntegrityLevel.HIGH else 0
-        return self.ar_token.bits.to_bytes(32, "big") + bytes([self.ar_id.value, flags])
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ class TrustWrapper:
         self.stub_invocations = 0
         self._issue_counter = 0
 
-    def install_credentials(self, ip_id: IpId, token: Token) -> None:
+    def install_credentials(self, ip_id: int, token: int) -> None:
         """Controller-side boot push; overwritten on re-provisioning."""
         self.sideband = SidebandSignals(token, ip_id, self.declared_integrity)
 

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from trusttoken import token_authority
+
+# A larger example budget for the property tests that leave max_examples
+# to the profile (tier-1 runs them at hypothesis' default of 100), run as
+# its own CI step with --hypothesis-profile=deep.
+settings.register_profile("deep", max_examples=2000)
 from trusttoken.puf_model import PufParams, new_chip
 
 

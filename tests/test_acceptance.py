@@ -10,7 +10,7 @@ import pytest
 
 from trusttoken.errors import MatrixTamperError
 from trusttoken.policy_engine import AccessAttribute, Actor, evaluate, modify_matrix
-from trusttoken.puf_model import Challenge, PufParams, evaluate_population, new_chip, reliability
+from trusttoken.puf_model import PufParams, evaluate_population, new_chip, reliability
 from trusttoken.scenario_cli import bundled_config, cmd_run
 from policy_helpers import StaticCredentialStore
 from test_policy_engine import enumerate_models, enumerate_requests, literal_rules_verdict
@@ -45,10 +45,10 @@ def test_criterion_2_randomness(campaign):
 def test_criterion_3_reliability():
     params = PufParams()
     chip = new_chip(7, params)
-    noiseless = reliability(chip, Challenge(2), 10, params)
+    noiseless = reliability(chip, 2, 10, params)
     assert noiseless == 100.0
     noisy_params = dataclasses.replace(params, noise_sigma=params.process_variation_sigma / 20)
-    noisy = reliability(chip, Challenge(2), 100, noisy_params)
+    noisy = reliability(chip, 2, 100, noisy_params)
     assert noisy >= 99.0
     ok(3, f"reliability noiseless {noiseless:.1f}% == 100, noisy {noisy:.2f}% >= 99")
 

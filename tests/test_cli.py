@@ -41,6 +41,19 @@ class TestRun:
         assert run_cli("run", "--config", str(bad), "--out", str(tmp_path)) == 1
         assert "bad.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, where",
+        [(b"seed: 1\nscript: [1, 2\n", ":3: "), (b"seed: 1\x01\n", ": "), (b"seed: \xff\n", ": ")],
+        ids=["unclosed-flow-sequence", "control-character", "not-utf-8"],
+    )
+    def test_unreadable_config_is_one_line_naming_the_path(self, tmp_path, capsys, content, where):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(content)
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}{where}") and err.count("\n") == 1
+        assert "<unicode string>" not in err
+
     def test_semantic_error_exits_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text(
@@ -137,6 +150,9 @@ class TestRun:
             ("max_cycles: 100", "max_cycles: 100\npuf: false"),
             ("max_cycles: 100", "max_cycles: 100\npuf: []"),
             ("max_cycles: 100", "max_cycles: 100\npuf: 0"),
+            ("max_cycles: 100", "max_cycles: 100\npuf: {noise_sigma: true}"),
+            ("max_cycles: 100", "max_cycles: 100\npuf: {process_variation_sigma: true}"),
+            ("max_cycles: 100", "max_cycles: 100\npuf: {nominal_frequency: false}"),
             ("app_map: {app1: aes}", "app_map: [1]"),
             # numbers int() would truncate, and a negative max_cycles that drops every entry
             ("cycle: 1,", "cycle: 1.9,"),
@@ -148,7 +164,8 @@ class TestRun:
              " app: app1, target: aes, flip_bit: 1.9}"),
         ],
         ids=["seed-inf", "max_cycles-inf", "cycle-inf", "flip_bit-inf", "puf-list", "puf-str",
-             "puf-false", "puf-empty-list", "puf-zero", "app_map-list", "cycle-float", "cycle-bool",
+             "puf-false", "puf-empty-list", "puf-zero", "puf-bool-noise_sigma",
+             "puf-bool-process_variation_sigma", "puf-bool-nominal_frequency", "app_map-list", "cycle-float", "cycle-bool",
              "seed-float", "max_cycles-float", "max_cycles-negative", "flip_bit-float"],
     )
     def test_config_value_of_the_wrong_kind_exits_1(self, tmp_path, capsys, old, new):

@@ -1,5 +1,6 @@
 """libyaml's loader against PyYAML's pure-Python one: the same dicts from
-every config, and the same error class and line from malformed ones."""
+every config, and the same error class and line, on one line of text,
+from malformed ones."""
 
 import re
 
@@ -102,5 +103,6 @@ def test_same_error_class_and_line_from_malformed_configs(tmp_path, monkeypatch,
             load_config(path)
         where = re.match(re.escape(str(path)) + r":\d+: ", str(info.value))
         assert where is not None, str(info.value)
+        assert "\n" not in str(info.value) and "<unicode string>" not in str(info.value)
         seen.append((type(info.value.__cause__), where.group()))
     assert seen[0] == seen[1]

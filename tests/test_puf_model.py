@@ -17,7 +17,6 @@ from trusttoken.errors import ParameterError
 from trusttoken.puf_model import (
     _COMMON_MODE_VARIANCE_FRACTION,
     _MEASUREMENT_SALT,
-    Challenge,
     PufParams,
     Response,
     _campaign_draws,
@@ -56,7 +55,7 @@ def reference_response(chip, challenge, measurement_seed, params):
     """measure_response's oracle: per-pair comparisons joined as '0'/'1'."""
     observed = np.asarray(chip.base_frequencies, dtype=float)
     if params.noise_sigma > 0:
-        rng = np.random.default_rng([measurement_seed, challenge.value, _MEASUREMENT_SALT])
+        rng = np.random.default_rng([measurement_seed, challenge, _MEASUREMENT_SALT])
         common = rng.normal(0.0, math.sqrt(_COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma)
         individual = rng.normal(
             0.0,
@@ -99,19 +98,23 @@ class TestParams:
             {"response_bits": 100.0},
             {"response_bits": True},
             {"oscillator_count": 2**32 + 1},
+            {"nominal_frequency": False},
+            {"process_variation_sigma": True},
+            {"noise_sigma": True},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             PufParams(**kwargs)
 
-    def test_challenge_must_fit_two_bytes(self):
-        Challenge(0)
-        Challenge(0xFFFF)
-        with pytest.raises(ParameterError):
-            Challenge(0x10000)
-        with pytest.raises(ParameterError):
-            Challenge(-1)
+    def test_challenge_must_fit_two_bytes(self, chip, default_params):
+        challenge_pairs(0, default_params)
+        challenge_pairs(0xFFFF, default_params)
+        for bad in (0x10000, -1, 1.0):
+            with pytest.raises(ParameterError, match="challenge must fit in 2 bytes"):
+                challenge_pairs(bad, default_params)
+            with pytest.raises(ParameterError, match="challenge must fit in 2 bytes"):
+                measure_response(chip, bad, 0, dataclasses.replace(default_params, noise_sigma=1.0))
 
 
 class TestNewChip:
@@ -164,8 +167,8 @@ class TestBatchedSeeding:
         params = dataclasses.replace(params, noise_sigma=noise_sigma)
         chip = new_chip(7, params)
         for cv, seed in ((0, 0), (9, 42), (65535, 7)):
-            expected = reference_response(chip, Challenge(cv), seed, params)
-            assert measure_response(chip, Challenge(cv), seed, params) == expected
+            expected = reference_response(chip, cv, seed, params)
+            assert measure_response(chip, cv, seed, params) == expected
 
     def test_package_import_leaves_numpy_random_unloaded(self):
         code = (
@@ -192,36 +195,36 @@ class TestResponse:
 class TestMeasureResponse:
     def test_width_is_256_across_challenge_space(self, chip, default_params):
         for cv in (0, 1, 255, 4095, 65535):
-            r = measure_response(chip, Challenge(cv), 0, default_params)
+            r = measure_response(chip, cv, 0, default_params)
             assert r.width == 256
 
     def test_pairing_is_disjoint(self, default_params):
         for cv in (0, 17, 65535):
-            pairs = challenge_pairs(Challenge(cv), default_params)
+            pairs = challenge_pairs(cv, default_params)
             flat = pairs.ravel().tolist()
             assert len(flat) == len(set(flat)) == 512
 
     def test_noiseless_ignores_measurement_seed(self, chip, default_params):
-        r1 = measure_response(chip, Challenge(3), 1, default_params)
-        r2 = measure_response(chip, Challenge(3), 999, default_params)
+        r1 = measure_response(chip, 3, 1, default_params)
+        r2 = measure_response(chip, 3, 999, default_params)
         assert r1 == r2
 
     def test_distinct_challenges_differ(self, chip, default_params):
-        r1 = measure_response(chip, Challenge(1), 0, default_params)
-        r2 = measure_response(chip, Challenge(2), 0, default_params)
+        r1 = measure_response(chip, 1, 0, default_params)
+        r2 = measure_response(chip, 2, 0, default_params)
         assert hamming_distance(r1, r2) > 0
 
     def test_interchip_distance_strictly_between_0_and_1(self, default_params):
         a = new_chip(100, default_params)
         b = new_chip(200, default_params)
-        ra = measure_response(a, Challenge(5), 0, default_params)
-        rb = measure_response(b, Challenge(5), 0, default_params)
+        ra = measure_response(a, 5, 0, default_params)
+        rb = measure_response(b, 5, 0, default_params)
         assert 0.0 < fractional_hamming(ra, rb) < 1.0
 
     def test_noisy_measurement_deterministic_per_seed(self, chip):
         params = PufParams(noise_sigma=1e5)
-        r1 = measure_response(chip, Challenge(9), 42, params)
-        r2 = measure_response(chip, Challenge(9), 42, params)
+        r1 = measure_response(chip, 9, 42, params)
+        r2 = measure_response(chip, 9, 42, params)
         assert r1 == r2
 
 
@@ -233,8 +236,8 @@ class TestHammingDistance:
         assert hamming_distance(bits("0"), bits("1")) == 256
 
     def test_against_bit_loop_oracle(self, chip, default_params):
-        a = measure_response(chip, Challenge(11), 0, default_params)
-        b = measure_response(chip, Challenge(12), 0, default_params)
+        a = measure_response(chip, 11, 0, default_params)
+        b = measure_response(chip, 12, 0, default_params)
         a_text, b_text = format(a.bits, "0256b"), format(b.bits, "0256b")
         expected = sum(1 for x, y in zip(a_text, b_text) if x != y)
         assert hamming_distance(a, b) == expected
@@ -264,21 +267,21 @@ class TestHammingDistance:
 class TestUniqueness:
     def test_identical_seeds_give_zero(self, default_params):
         chips = [new_chip(5, default_params), new_chip(5, default_params)]
-        assert uniqueness(chips, Challenge(1), default_params) == 0.0
+        assert uniqueness(chips, 1, default_params) == 0.0
 
     def test_single_chip_rejected(self, chip, default_params):
         with pytest.raises(ParameterError):
-            uniqueness([chip], Challenge(1), default_params)
+            uniqueness([chip], 1, default_params)
 
     def test_permutation_invariant(self, default_params):
         chips = [new_chip(s, default_params) for s in (1, 2, 3)]
-        u1 = uniqueness(chips, Challenge(4), default_params)
-        u2 = uniqueness(list(reversed(chips)), Challenge(4), default_params)
+        u1 = uniqueness(chips, 4, default_params)
+        u2 = uniqueness(list(reversed(chips)), 4, default_params)
         assert u1 == u2
 
     def test_population_near_ideal(self, default_params):
         chips = [new_chip(s, default_params) for s in range(20)]
-        u = uniqueness(chips, Challenge(123), default_params)
+        u = uniqueness(chips, 123, default_params)
         assert 45.0 <= u <= 55.0
 
 
@@ -291,7 +294,7 @@ class TestRandomness:
 
     def test_population_average(self, default_params):
         values = [
-            randomness(measure_response(new_chip(s, default_params), Challenge(7), 0, default_params))
+            randomness(measure_response(new_chip(s, default_params), 7, 0, default_params))
             for s in range(20)
         ]
         assert 42.0 <= sum(values) / len(values) <= 58.0
@@ -299,17 +302,17 @@ class TestRandomness:
 
 class TestReliability:
     def test_noiseless_exactly_100(self, chip, default_params):
-        assert reliability(chip, Challenge(2), 10, default_params) == 100.0
+        assert reliability(chip, 2, 10, default_params) == 100.0
 
     def test_small_noise_above_99(self, chip, default_params):
         params = dataclasses.replace(
             default_params, noise_sigma=default_params.process_variation_sigma / 20
         )
-        assert reliability(chip, Challenge(2), 100, params) >= 99.0
+        assert reliability(chip, 2, 100, params) >= 99.0
 
     def test_too_few_measurements(self, chip, default_params):
         with pytest.raises(ParameterError):
-            reliability(chip, Challenge(2), 1, default_params)
+            reliability(chip, 2, 1, default_params)
 
 
 class TestPopulationBand:
@@ -318,7 +321,7 @@ class TestPopulationBand:
         total = 0.0
         count = 0
         for cv in range(16):
-            responses = [measure_response(c, Challenge(cv * 97), 0, default_params) for c in chips]
+            responses = [measure_response(c, cv * 97, 0, default_params) for c in chips]
             for ra, rb in itertools.combinations(responses, 2):
                 total += fractional_hamming(ra, rb)
                 count += 1
@@ -354,7 +357,7 @@ class TestPopulationKernel:
         uniq_total = 0.0
         ones_total = 0.0
         for cv in challenge_values:
-            responses = [measure_response(c, Challenge(cv), 0, params) for c in chips]
+            responses = [measure_response(c, cv, 0, params) for c in chips]
             ones_total += sum(randomness(r) for r in responses)
             dists = [
                 hamming_distance(ra, rb) for ra, rb in itertools.combinations(responses, 2)
@@ -362,7 +365,7 @@ class TestPopulationKernel:
             pairs = itertools.combinations(range(n_chips), 2)
             pairwise += [(cv, a, b, d) for (a, b), d in zip(pairs, dists)]
             uniq_total += sum(d / width for d in dists)
-            assert uniqueness(chips, Challenge(cv), params) == pytest.approx(
+            assert uniqueness(chips, cv, params) == pytest.approx(
                 100.0 * sum(dists) / width / len(dists), rel=1e-12
             )
 
@@ -382,7 +385,7 @@ class TestPopulationKernel:
     def test_uniqueness_rejects_foreign_chip(self, chip):
         small = PufParams(oscillator_count=200, response_bits=100)
         with pytest.raises(ParameterError):
-            uniqueness([chip, new_chip(1, small)], Challenge(1), small)
+            uniqueness([chip, new_chip(1, small)], 1, small)
 
     def test_challenge_count_limited_to_challenge_space(self):
         assert len(_campaign_draws(2, 0x10000, 0)[0]) == 0x10000

@@ -276,6 +276,25 @@ class TestForgeAndReplay:
         assert summary.verdict == "BLOCKED"
         assert dict(summary.denials_by_reason) == {"token_mismatch": 1}
 
+    def test_forged_token_flips_one_bit_counted_from_the_most_significant(self):
+        def string_flip(token, i):
+            """The flip on the token's 256-character '0'/'1' string, bit 0 first."""
+            chars = list(format(token, "0256b"))
+            chars[i] = "0" if chars[i] == "1" else "1"
+            return int("".join(chars), 2)
+
+        sim = build(paper_topology(), 3)
+        boot_id, boot_token = sim._attack_surface["rsa"]
+        sent = []
+        authorize = sim._authorize
+        sim._authorize = lambda txn: sent.append(txn.sideband) or authorize(txn)
+        bits = (0, 5, 255)
+        run(sim, [AttackInjection(AttackKind.FORGE_TOKEN, 10 + bit,
+                                  {"app": "app4", "target": "rsa", "flip_bit": bit})
+                  for bit in bits], 300)
+        assert [(s.ar_id, s.ar_token) for s in sent] == [
+            (boot_id, string_flip(boot_token, bit)) for bit in bits]
+
     def test_replay_same_epoch_succeeds(self):
         # without re-provisioning the stolen credential is still valid
         attack = AttackInjection(AttackKind.REPLAY_STALE_TOKEN, 10, {"app": "app4", "target": "rsa"})
@@ -514,7 +533,7 @@ class TestLiveCounters:
         levels=st.lists(st.sampled_from(IntegrityLevel), min_size=4, max_size=4),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(deadline=None)  # max_examples from the profile: 100 by default
     def test_random_scripts_match_the_scanning_report(self, script, mode, levels, seed):
         topology = paper_topology()
         topology = Topology(

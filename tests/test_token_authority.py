@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trusttoken.errors import ParameterError, ProvisioningError
 from trusttoken.policy_engine import (
@@ -13,11 +15,9 @@ from trusttoken.policy_engine import (
     build_system,
     evaluate,
 )
+from trusttoken.puf_model import PufParams
 from trusttoken.token_authority import (
-    ZERO_TOKEN,
     AuthorizationOutcome,
-    IpId,
-    Token,
     authorize,
     lookup_integrity,
     provision,
@@ -57,33 +57,7 @@ def txn_for(creds, source_obj, target_obj, kind=AccessAttribute.READ, serial=1):
     )
 
 
-class TestToken:
-    def test_width_enforced(self):
-        for bad in (-1, 1 << 256, "0" * 256):
-            with pytest.raises(ParameterError):
-                Token(bad)
-        Token(0)
-        Token((1 << 256) - 1)
-
-    def test_flip(self):
-        def string_flip(token, i):
-            """The flip on the token's 256-character '0'/'1' string, bit 0 first."""
-            chars = list(format(token.bits, "0256b"))
-            chars[i] = "0" if chars[i] == "1" else "1"
-            return Token(int("".join(chars), 2))
-
-        t = ZERO_TOKEN.flipped(5)
-        assert format(t.bits, "0256b")[5] == "1"
-        assert t.flipped(5) == ZERO_TOKEN
-        patterned = Token(int("0110" * 64, 2))
-        for bit in (0, 5, 255):
-            for token in (ZERO_TOKEN, patterned):
-                assert token.flipped(bit) == string_flip(token, bit), bit
-
-    def test_ip_id_range(self):
-        with pytest.raises(ParameterError):
-            IpId(256)
-
+class TestOutcome:
     def test_cycle_cost_bounds(self):
         with pytest.raises(ParameterError):
             AuthorizationOutcome(True, 3)
@@ -103,7 +77,23 @@ class TestProvision:
 
     def test_sequential_ids(self, table):
         creds = release_all(table)
-        assert [creds[o][0].value for o in OBJECTS] == [0, 1, 2, 3]
+        assert [creds[o][0] for o in OBJECTS] == [0, 1, 2, 3]
+
+    def test_tokens_are_256_bit_ints(self, table):
+        for _, token in release_all(table).values():
+            assert type(token) is int and 0 <= token < 1 << 256
+
+    def test_token_width_enforced(self, chip):
+        for params in (PufParams(response_bits=255), PufParams(oscillator_count=514, response_bits=257)):
+            with pytest.raises(ParameterError):
+                provision(chip, params, IP_LIST, master_seed=1)
+
+    def test_ip_id_range(self, chip, default_params):
+        ips = [(obj, IntegrityLevel.HIGH) for obj in range(257)]
+        with pytest.raises(ProvisioningError):
+            provision(chip, default_params, ips, master_seed=1)
+        table = provision(chip, default_params, ips[:256], master_seed=1)
+        assert [table.release_credentials(obj)[0] for obj, _ in ips[:256]] == list(range(256))
 
     def test_empty_list_rejected(self, chip, default_params):
         with pytest.raises(ProvisioningError):
@@ -147,7 +137,7 @@ class TestAuthorize:
     def test_forged_token_denied(self, table, permissive_model):
         creds = release_all(table)
         ip_id, token = creds[OBJECTS[0]]
-        sideband = SidebandSignals(token.flipped(0), ip_id, IntegrityLevel.HIGH)
+        sideband = SidebandSignals(token ^ 1 << 255, ip_id, IntegrityLevel.HIGH)
         txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", sideband, 1)
         outcome = authorize(table, txn, permissive_model)
         assert not outcome.granted
@@ -196,7 +186,7 @@ def test_authorize_is_evaluate_on_high_targets(chip, default_params):
         for target in OBJECTS + [17]:
             ip_id, token = creds.get(target, creds[OBJECTS[0]])
             other_id = creds[OBJECTS[(target + 1) % len(OBJECTS)]][0]
-            for sent_id, sent_token in ((ip_id, token), (ip_id, token.flipped(3)), (other_id, token)):
+            for sent_id, sent_token in ((ip_id, token), (ip_id, token ^ 1 << 252), (other_id, token)):
                 for bits in range(8):
                     kind = AccessAttribute(bits)
                     sideband = SidebandSignals(sent_token, sent_id, IntegrityLevel.HIGH)
@@ -227,7 +217,7 @@ class TestIntegrityTransitions:
         assert lookup_integrity(table, OBJECTS[0]) is IntegrityLevel.LOW
 
     def test_wrong_token_leaves_level(self, table):
-        outcome = request_integrity_transition(table, OBJECTS[0], ZERO_TOKEN, IntegrityLevel.LOW)
+        outcome = request_integrity_transition(table, OBJECTS[0], 0, IntegrityLevel.LOW)
         assert not outcome.granted
         assert outcome.reason is DenialReason.TOKEN_MISMATCH
         assert lookup_integrity(table, OBJECTS[0]) is IntegrityLevel.HIGH
@@ -240,7 +230,7 @@ class TestIntegrityTransitions:
         assert lookup_integrity(table, OBJECTS[1]) is IntegrityLevel.HIGH
 
     def test_unknown_object(self, table):
-        outcome = request_integrity_transition(table, 9, ZERO_TOKEN, IntegrityLevel.LOW)
+        outcome = request_integrity_transition(table, 9, 0, IntegrityLevel.LOW)
         assert outcome.reason is DenialReason.MALFORMED
 
     def test_low_disables_isolation(self, table, permissive_model):
@@ -248,10 +238,129 @@ class TestIntegrityTransitions:
         _, token = creds[OBJECTS[0]]
         request_integrity_transition(table, OBJECTS[0], token, IntegrityLevel.LOW)
         # forged credentials now pass, at pass-through cost 1
-        forged = SidebandSignals(ZERO_TOKEN, IpId(200), IntegrityLevel.HIGH)
+        forged = SidebandSignals(0, 200, IntegrityLevel.HIGH)
         txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", forged, 1)
         outcome = authorize(table, txn, permissive_model)
         assert outcome.granted and outcome.cycle_cost == 1
 
     def test_fresh_ip_is_high(self, table):
         assert lookup_integrity(table, OBJECTS[3]) is IntegrityLevel.HIGH
+
+
+def uncached_decision(table, txn, policy):
+    """What authorize decides without its memo: an unprovisioned target is
+    MALFORMED, a LOW target passes at cost 1, a HIGH one is evaluate's."""
+    if txn.target not in table:
+        return False, 2, DenialReason.MALFORMED
+    if lookup_integrity(table, txn.target) is IntegrityLevel.LOW:
+        return True, 1, None
+    sideband = txn.sideband
+    request = AccessRequest(txn.source.owner, txn.source, txn.target,
+                            sideband.ar_token, sideband.ar_id, txn.kind)
+    reason = evaluate(policy, request, table)
+    return reason is None, 2, reason
+
+
+class TestDecisionMemo:
+    def test_granted_downgrade_turns_a_memoized_deny_into_a_grant(self, table, permissive_model):
+        creds = release_all(table)
+        txn = txn_for(creds, OBJECTS[2], OBJECTS[3])  # trng creds against rsa
+        for _ in range(2):  # the second call is answered from the memo
+            assert authorize(table, txn, permissive_model).reason is DenialReason.TOKEN_MISMATCH
+        _, token = creds[OBJECTS[3]]
+        assert request_integrity_transition(table, OBJECTS[3], token, IntegrityLevel.LOW).granted
+        outcome = authorize(table, txn, permissive_model)
+        assert (outcome.granted, outcome.cycle_cost, outcome.reason) == (True, 1, None)
+
+    def test_boot_token_denied_after_reprovisioning(self, chip, default_params, permissive_model):
+        boot = provision(chip, default_params, IP_LIST, master_seed=99)
+        boot_creds = release_all(boot)
+        txn = txn_for(boot_creds, OBJECTS[0], OBJECTS[0])
+        assert authorize(boot, txn, permissive_model).granted
+        fresh = provision(chip, default_params, IP_LIST, master_seed=99, epoch=1)
+        outcome = authorize(fresh, txn, permissive_model)
+        assert not outcome.granted and outcome.reason is DenialReason.TOKEN_MISMATCH
+
+    def test_second_policy_not_served_from_the_first_ones_entries(self, table, permissive_model):
+        none = AccessAttribute.NONE
+        closed = build_system([USER], [PROC], OBJECTS,
+                              [AccessMatrix(USER, ((none,) * len(OBJECTS),))]).sealed()
+        txn = txn_for(release_all(table), OBJECTS[0], OBJECTS[0])
+        assert authorize(table, txn, permissive_model).granted
+        assert authorize(table, txn, closed).reason is DenialReason.MATRIX_DENY
+        assert authorize(table, txn, permissive_model).granted
+
+
+# Two users with two and one processes, plus a process no model knows.
+_PROCS = [ProcessId(0, 0), ProcessId(0, 1), ProcessId(1, 0), ProcessId(0, 7)]
+_cells = st.tuples(*[st.integers(0, 7).map(AccessAttribute)] * len(OBJECTS))
+_models = st.tuples(_cells, _cells, _cells).map(lambda rows: build_system(
+    [0, 1], _PROCS[:3], OBJECTS,
+    [AccessMatrix(0, rows[:2]), AccessMatrix(1, rows[2:])],
+).sealed())
+_obj = st.sampled_from(OBJECTS)
+# credentials: an IP's current ones, its boot ones, or its boot ones with one bit flipped
+_creds = st.one_of(
+    st.tuples(st.just("current"), _obj),
+    st.tuples(st.just("boot"), _obj),
+    st.tuples(st.just("forged"), _obj, st.integers(0, 255)),
+)
+_kinds = st.sampled_from([AccessAttribute.READ, AccessAttribute.WRITE, RWE, AccessAttribute.NONE])
+# an access to the credentials' own IP (None) or to a target, 17 being
+# unprovisioned; half are own-IP accesses with current credentials, as most
+# bus traffic is
+_accesses = st.one_of(
+    st.tuples(st.sampled_from(_PROCS), st.tuples(st.just("current"), _obj), st.none(), _kinds),
+    st.tuples(st.sampled_from(_PROCS), _creds, st.sampled_from([None, 17] + OBJECTS), _kinds),
+)
+_changes = st.one_of(
+    st.tuples(st.just("transition"), _obj, st.sampled_from(["current", "boot", "zero"]),
+              st.sampled_from(IntegrityLevel)),
+    st.sampled_from([("reprovision",), ("policy", 0), ("policy", 1)]),
+)
+
+
+@settings(deadline=None)
+@given(
+    levels=st.lists(st.sampled_from(IntegrityLevel), min_size=4, max_size=4),
+    models=st.tuples(_models, _models),
+    accesses=st.lists(_accesses, min_size=1, max_size=4),
+    changes=st.lists(_changes, min_size=3, max_size=12),
+)
+def test_memoized_authorize_equals_the_uncached_decision(chip, default_params, levels, models,
+                                                         accesses, changes):
+    """A few accesses are authorized again after each change of state (a
+    granted or denied integrity transition, a reprovision or a policy
+    switch), so that most are answered from the memo: every outcome
+    equals the decision built from evaluate without the memo."""
+    ip_list = list(zip(OBJECTS, levels))
+    epoch = 0
+    table = provision(chip, default_params, ip_list, master_seed=3)
+    boot = current = release_all(table)
+    policy = models[0]
+    serial = 0
+
+    for change in [("start",)] + changes:
+        if change[0] == "reprovision":
+            epoch += 1
+            table = provision(chip, default_params, ip_list, master_seed=3, epoch=epoch)
+            current = release_all(table)
+        elif change[0] == "transition":
+            _, obj, presented, level = change
+            token = {"current": current, "boot": boot}[presented][obj][1] if presented != "zero" else 0
+            request_integrity_transition(table, obj, token, level)
+        elif change[0] == "policy":
+            policy = models[change[1]]
+        for _ in range(2):
+            for proc, creds, target, kind in accesses:
+                ip_id, token = (current if creds[0] == "current" else boot)[creds[1]]
+                if creds[0] == "forged":
+                    token ^= 1 << 255 - creds[2]
+                sideband = SidebandSignals(token, ip_id, IntegrityLevel.HIGH)
+                target = creds[1] if target is None else target
+                serial += 1
+                txn = WrappedTransaction(proc, target, kind, b"", sideband, serial)
+                expected = uncached_decision(table, txn, policy)
+                outcome = authorize(table, txn, policy)
+                assert (outcome.granted, outcome.cycle_cost, outcome.reason) == expected, change
+                assert outcome.serial == serial

@@ -2,18 +2,18 @@ import pytest
 
 from trusttoken.errors import ConfigurationError, ParameterError, SimulationFault
 from trusttoken.policy_engine import AccessAttribute, IntegrityLevel, ProcessId
-from trusttoken.token_authority import AuthorizationOutcome, IpId, Token
-from trusttoken.trust_wrapper import SidebandSignals, TrustWrapper, standard_stub
+from trusttoken.token_authority import AuthorizationOutcome
+from trusttoken.trust_wrapper import TrustWrapper, standard_stub
 
 PROC = ProcessId(0, 0)
 OBJ = 0
-TOKEN = Token(int("10" * 128, 2))
+TOKEN = int("10" * 128, 2)
 
 
 @pytest.fixture()
 def wrapper():
     w = TrustWrapper(standard_stub("AES"), OBJ, IntegrityLevel.HIGH)
-    w.install_credentials(IpId(3), TOKEN)
+    w.install_credentials(3, TOKEN)
     return w
 
 
@@ -33,26 +33,6 @@ class TestStubs:
             standard_stub("SHA3")
 
 
-class TestWireEncoding:
-    def test_golden_layout(self):
-        token = Token(1)
-        sideband = SidebandSignals(token, IpId(0xAB), IntegrityLevel.HIGH)
-        encoded = sideband.encode()
-        assert len(encoded) == 34  # 256 + 8 bits + flags byte carrying 1 bit
-        assert encoded[:32] == b"\x00" * 31 + b"\x01"
-        assert encoded[32] == 0xAB
-        assert encoded[33] == 0x01
-
-    def test_low_integrity_flag(self):
-        sideband = SidebandSignals(TOKEN, IpId(0), IntegrityLevel.LOW)
-        assert sideband.encode()[33] == 0x00
-
-    def test_token_big_endian(self):
-        token = Token(1 << 255)  # bit 0 of the token
-        encoded = SidebandSignals(token, IpId(0), IntegrityLevel.HIGH).encode()
-        assert encoded[0] == 0x80
-
-
 class TestIssue:
     def test_unprovisioned_rejected(self):
         w = TrustWrapper(standard_stub("AES"), OBJ, IntegrityLevel.HIGH)
@@ -61,7 +41,7 @@ class TestIssue:
 
     def test_sideband_verbatim(self, wrapper):
         txn = wrapper.issue(OBJ, AccessAttribute.READ, b"x", source=PROC)
-        assert txn.sideband.ar_id == IpId(3)
+        assert txn.sideband.ar_id == 3
         assert txn.sideband.ar_token == TOKEN
         assert txn.sideband is wrapper.sideband
 
