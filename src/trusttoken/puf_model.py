@@ -86,12 +86,13 @@ class PufParams:
             raise ParameterError("noise_sigma must be smaller than process_variation_sigma")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChipFingerprint:
-    """One virtual die: per-oscillator base frequencies, fixed at 'manufacture'."""
+    """One virtual die: per-oscillator base frequencies, fixed at 'manufacture'
+    (a read-only float64 array)."""
 
     chip_seed: int
-    base_frequencies: tuple[float, ...]
+    base_frequencies: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -176,10 +177,11 @@ def new_chip(chip_seed: int, params: PufParams) -> ChipFingerprint:
     _check_u64(chip_seed, "chip_seed")
     seeded_rng = _seeded_rng()
     sigma = params.process_variation_sigma
-    freqs = tuple(
+    freqs = np.array([
         params.nominal_frequency + seeded_rng(words).normal(0.0, sigma)
         for words in _seed_states(chip_seed, params.oscillator_count)
-    )
+    ])
+    freqs.flags.writeable = False
     return ChipFingerprint(chip_seed=chip_seed, base_frequencies=freqs)
 
 
@@ -192,6 +194,13 @@ def challenge_pairs(challenge: int, params: PufParams) -> np.ndarray:
     rng = np.random.default_rng([challenge, _PAIRING_SALT])
     perm = rng.permutation(params.oscillator_count)
     return perm[: 2 * params.response_bits].reshape(params.response_bits, 2)
+
+
+def _response_bits(freqs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The response rule, for one chip's frequencies or a stack of them
+    (one chip per row): bit j is 1 iff the frequency of pair j's first
+    oscillator exceeds that of its second, so exact ties give 0."""
+    return freqs[..., pairs[:, 0]] > freqs[..., pairs[:, 1]]
 
 
 def measure_response(
@@ -212,7 +221,7 @@ def measure_response(
     if len(chip.base_frequencies) != params.oscillator_count:
         raise ParameterError("chip was generated with different params")
     pairs = challenge_pairs(challenge, params)
-    observed = np.asarray(chip.base_frequencies, dtype=float)
+    observed = chip.base_frequencies
     if params.noise_sigma > 0:
         rng = np.random.default_rng([measurement_seed, challenge, _MEASUREMENT_SALT])
         common = rng.normal(0.0, math.sqrt(_COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma)
@@ -222,7 +231,7 @@ def measure_response(
             size=params.oscillator_count,
         )
         observed = observed + common + individual
-    above = observed[pairs[:, 0]] > observed[pairs[:, 1]]
+    above = _response_bits(observed, pairs)
     width = params.response_bits
     # packbits fills the last byte's low bits with zeros: shift them off
     packed = int.from_bytes(np.packbits(above).tobytes(), "big")
@@ -234,49 +243,6 @@ def hamming_distance(a: Response, b: Response) -> int:
     if a.width != b.width:
         raise ParameterError(f"width mismatch: {a.width} != {b.width}")
     return (a.bits ^ b.bits).bit_count()
-
-
-def fractional_hamming(a: Response, b: Response) -> float:
-    return hamming_distance(a, b) / a.width
-
-
-def _frequency_matrix(chips, params: PufParams) -> np.ndarray:
-    """Base frequencies of the chips, one row per chip."""
-    if any(len(c.base_frequencies) != params.oscillator_count for c in chips):
-        raise ParameterError("chip was generated with different params")
-    return np.array([c.base_frequencies for c in chips], dtype=float)
-
-
-def _compare_population(freqs: np.ndarray, challenge: int, params: PufParams) -> tuple:
-    """Noiseless responses of each row of freqs to one challenge, in one
-    array pass: the ones count of each response, and the Hamming distance
-    of every row pair in itertools.combinations order, from
-    |a xor b| = |a| + |b| - 2 |a and b|.  einsum keeps the product off
-    BLAS: its worker threads made a 100-chip campaign about 15% slower
-    on a 2-vCPU host."""
-    pairs = challenge_pairs(challenge, params)
-    bits = (freqs[:, pairs[:, 0]] > freqs[:, pairs[:, 1]]).astype(np.int32)
-    ones = bits.sum(axis=1)
-    common = np.einsum("ik,jk->ij", bits, bits)
-    first, second = np.triu_indices(len(freqs), k=1)
-    return ones, ones[first] + ones[second] - 2 * common[first, second]
-
-
-def uniqueness(chips, challenge: int, params: PufParams) -> float:
-    """Mean pairwise inter-chip fractional Hamming distance, in percent.
-
-    Uses noiseless reference measurements; ideal value is 50%.
-    """
-    chips = list(chips)
-    if len(chips) < 2:
-        raise ParameterError("uniqueness needs at least 2 chips")
-    _, dists = _compare_population(_frequency_matrix(chips, params), challenge, params)
-    return 100.0 * (int(dists.sum()) / params.response_bits) / len(dists)
-
-
-def randomness(response: Response) -> float:
-    """Fraction of 1-bits in a response, in percent (ideal 50%)."""
-    return 100.0 * response.bits.bit_count() / response.width
 
 
 def reliability(
@@ -294,7 +260,7 @@ def reliability(
     total = 0.0
     for m in range(n_measurements):
         remeasured = measure_response(chip, challenge, m, params)
-        total += fractional_hamming(reference, remeasured)
+        total += hamming_distance(reference, remeasured) / reference.width
     return 100.0 - 100.0 * total / n_measurements
 
 
@@ -347,17 +313,26 @@ def evaluate_population(
         raise ParameterError("campaign needs at least 2 chips")
     challenge_values, chip_seeds = _campaign_draws(n_chips, n_challenges, master_seed)
     chips = [new_chip(seed, params) for seed in chip_seeds]
-    freqs = _frequency_matrix(chips, params)
-    first, second = (idx.tolist() for idx in np.triu_indices(n_chips, k=1))
+    freqs = np.stack([chip.base_frequencies for chip in chips])
+    first, second = np.triu_indices(n_chips, k=1)
+    first_ids, second_ids = first.tolist(), second.tolist()
 
     pairwise = []
     ones_total = 0
     dist_total = 0
     for cv in challenge_values:
-        ones, dists = _compare_population(freqs, cv, params)
+        # One array pass per challenge: every chip's response bits, then the
+        # Hamming distance of every chip pair in itertools.combinations order,
+        # from |a xor b| = |a| + |b| - 2 |a and b|.  einsum keeps the product
+        # off BLAS: its worker threads made a 100-chip campaign about 15%
+        # slower on a 2-vCPU host.
+        bits = _response_bits(freqs, challenge_pairs(cv, params)).astype(np.int32)
+        ones = bits.sum(axis=1)
+        common = np.einsum("ik,jk->ij", bits, bits)
+        dists = ones[first] + ones[second] - 2 * common[first, second]
         ones_total += int(ones.sum())
         dist_total += int(dists.sum())
-        pairwise.extend(zip(itertools.repeat(cv), first, second, dists.tolist()))
+        pairwise.extend(zip(itertools.repeat(cv), first_ids, second_ids, dists.tolist()))
 
     width = params.response_bits
     rel = reliability(chips[0], challenge_values[0], 100, params)

@@ -141,8 +141,6 @@ def cmd_run(config_path: str, mode_override=None, seed_override=None, out_path="
     try:
         config = load_config(Path(config_path))
         mode = mode_override or config.get("mode", "trusttoken")
-        if mode not in MODES:
-            raise ConfigurationError(f"unknown mode {mode!r}")
         seed = seed_override if seed_override is not None else config.get("seed", 0)
         params = parse_puf_params(config.get("puf"))
         topology = parse_topology(config.get("topology", {}))
@@ -230,9 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.mode, args.seed, args.out)
-    return cmd_puf_eval(args.chips, args.challenges, args.seed, args.out, args.noise_sigma)
+    try:
+        if args.command == "run":
+            return cmd_run(args.config, args.mode, args.seed, args.out)
+        return cmd_puf_eval(args.chips, args.challenges, args.seed, args.out, args.noise_sigma)
+    except OSError as exc:  # the output directory or a file in it cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

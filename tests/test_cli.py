@@ -63,6 +63,14 @@ class TestRun:
         )
         assert run_cli("run", "--config", str(bad), "--out", str(tmp_path)) == 1
 
+    def test_unknown_mode_in_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text(bundled_config("smoke.cfg").read_text().replace("mode: trusttoken", "mode: bogus"))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown mode 'bogus', expected one of ('trusttoken', 'trustzone-baseline')\n"
+        )
+
     def test_negative_seed_in_config_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "neg.cfg"
         cfg.write_text(bundled_config("smoke.cfg").read_text().replace("seed: 7", "seed: -3"))
@@ -301,3 +309,19 @@ class TestPufEval:
     def test_non_finite_noise_sigma_exits_1(self, tmp_path, capsys):
         assert run_cli("puf-eval", "--noise-sigma", "nan", "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err.startswith("error: noise_sigma must be finite")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+@pytest.mark.parametrize(
+    "argv",
+    [("run", "--config", str(bundled_config("smoke.cfg"))), ("puf-eval", "--chips", "2", "--challenges", "1")],
+    ids=["run", "puf-eval"],
+)
+def test_out_that_cannot_be_a_directory_exits_1(tmp_path, capsys, argv, under):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli(*argv, "--out", str(taken / "o" if under else taken)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert taken.read_text() == ""

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trusttoken
@@ -17,19 +17,17 @@ from trusttoken.errors import ParameterError
 from trusttoken.puf_model import (
     _COMMON_MODE_VARIANCE_FRACTION,
     _MEASUREMENT_SALT,
+    ChipFingerprint,
     PufParams,
     Response,
     _campaign_draws,
     _seed_states,
     challenge_pairs,
     evaluate_population,
-    fractional_hamming,
     hamming_distance,
     measure_response,
     new_chip,
-    randomness,
     reliability,
-    uniqueness,
 )
 
 
@@ -69,6 +67,22 @@ def reference_response(chip, challenge, measurement_seed, params):
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 RANDOM_SEEDS = [random.Random(k).getrandbits(64) for k in range(4)]
+PARAM_SETS = [PufParams(), PufParams(oscillator_count=1000, response_bits=100)]
+
+
+def measurement_examples(test):
+    """The fixed cases of the measure_response property test: chip 7 of
+    each param set, three noise levels, three (challenge, seed) pairs."""
+    for params, noise_sigma in itertools.product(PARAM_SETS, (0.0, 1e5, 1.9e6)):
+        for challenge, measurement_seed in ((0, 0), (9, 42), (65535, 7)):
+            test = example(
+                params=params,
+                chip_seed=7,
+                challenge=challenge,
+                measurement_seed=measurement_seed,
+                noise_sigma=noise_sigma,
+            )(test)
+    return test
 
 
 class TestParams:
@@ -121,15 +135,20 @@ class TestNewChip:
     def test_deterministic(self, default_params):
         a = new_chip(7, default_params)
         b = new_chip(7, default_params)
-        assert a.base_frequencies == b.base_frequencies
+        assert np.array_equal(a.base_frequencies, b.base_frequencies)
 
     def test_seed_sensitivity(self, default_params):
         a = new_chip(7, default_params)
         b = new_chip(8, default_params)
-        assert a.base_frequencies != b.base_frequencies
+        assert not np.array_equal(a.base_frequencies, b.base_frequencies)
 
     def test_length(self, chip, default_params):
         assert len(chip.base_frequencies) == default_params.oscillator_count
+
+    def test_frequencies_are_read_only(self, default_params):
+        chip = new_chip(7, default_params)
+        with pytest.raises(ValueError):
+            chip.base_frequencies[0] = 0.0
 
     def test_seed_range_checked(self, default_params):
         with pytest.raises(ParameterError):
@@ -150,25 +169,29 @@ class TestBatchedSeeding:
             expected = np.random.SeedSequence([chip_seed, i]).generate_state(4, np.uint64)
             assert states[i].tolist() == expected.tolist()
 
-    @pytest.mark.parametrize(
-        "params", [PufParams(), PufParams(oscillator_count=1000, response_bits=100)]
-    )
+    @pytest.mark.parametrize("params", PARAM_SETS)
     @pytest.mark.parametrize("chip_seed", EDGE_SEEDS + RANDOM_SEEDS)
     def test_new_chip_matches_reference(self, chip_seed, params):
         freqs = new_chip(chip_seed, params).base_frequencies
-        assert freqs == reference_frequencies(chip_seed, params)
-        assert all(type(f) is float for f in freqs)
+        assert freqs.dtype == np.float64 and not freqs.flags.writeable
+        assert freqs.tolist() == list(reference_frequencies(chip_seed, params))
 
-    @pytest.mark.parametrize(
-        "params", [PufParams(), PufParams(oscillator_count=1000, response_bits=100)]
+    @settings(deadline=None)  # max_examples from the profile: 100 by default
+    @given(
+        params=st.sampled_from(PARAM_SETS),
+        chip_seed=st.integers(0, 2**64 - 1),
+        challenge=st.integers(0, 0xFFFF),
+        measurement_seed=st.integers(0, 2**64 - 1),
+        noise_sigma=st.just(0.0) | st.floats(1e3, 1.9e6),
     )
-    @pytest.mark.parametrize("noise_sigma", [0.0, 1e5, 1.9e6])
-    def test_measure_response_matches_reference(self, params, noise_sigma):
+    @measurement_examples
+    def test_measure_response_matches_reference(
+        self, params, chip_seed, challenge, measurement_seed, noise_sigma
+    ):
         params = dataclasses.replace(params, noise_sigma=noise_sigma)
-        chip = new_chip(7, params)
-        for cv, seed in ((0, 0), (9, 42), (65535, 7)):
-            expected = reference_response(chip, cv, seed, params)
-            assert measure_response(chip, cv, seed, params) == expected
+        chip = new_chip(chip_seed, params)
+        expected = reference_response(chip, challenge, measurement_seed, params)
+        assert measure_response(chip, challenge, measurement_seed, params) == expected
 
     def test_package_import_leaves_numpy_random_unloaded(self):
         code = (
@@ -219,13 +242,22 @@ class TestMeasureResponse:
         b = new_chip(200, default_params)
         ra = measure_response(a, 5, 0, default_params)
         rb = measure_response(b, 5, 0, default_params)
-        assert 0.0 < fractional_hamming(ra, rb) < 1.0
+        assert 0 < hamming_distance(ra, rb) < ra.width
 
     def test_noisy_measurement_deterministic_per_seed(self, chip):
         params = PufParams(noise_sigma=1e5)
         r1 = measure_response(chip, 9, 42, params)
         r2 = measure_response(chip, 9, 42, params)
         assert r1 == r2
+
+    def test_exact_ties_read_0(self, default_params):
+        chip = ChipFingerprint(0, np.full(default_params.oscillator_count, 1e8))
+        assert measure_response(chip, 3, 0, default_params) == Response(0, 256)
+
+    def test_rejects_foreign_chip(self, chip):
+        small = PufParams(oscillator_count=200, response_bits=100)
+        with pytest.raises(ParameterError, match="chip was generated with different params"):
+            measure_response(chip, 1, 0, small)
 
 
 class TestHammingDistance:
@@ -264,42 +296,6 @@ class TestHammingDistance:
         assert hamming_distance(ra, ra) == 0
 
 
-class TestUniqueness:
-    def test_identical_seeds_give_zero(self, default_params):
-        chips = [new_chip(5, default_params), new_chip(5, default_params)]
-        assert uniqueness(chips, 1, default_params) == 0.0
-
-    def test_single_chip_rejected(self, chip, default_params):
-        with pytest.raises(ParameterError):
-            uniqueness([chip], 1, default_params)
-
-    def test_permutation_invariant(self, default_params):
-        chips = [new_chip(s, default_params) for s in (1, 2, 3)]
-        u1 = uniqueness(chips, 4, default_params)
-        u2 = uniqueness(list(reversed(chips)), 4, default_params)
-        assert u1 == u2
-
-    def test_population_near_ideal(self, default_params):
-        chips = [new_chip(s, default_params) for s in range(20)]
-        u = uniqueness(chips, 123, default_params)
-        assert 45.0 <= u <= 55.0
-
-
-class TestRandomness:
-    def test_all_zeros(self):
-        assert randomness(bits("0")) == 0.0
-
-    def test_alternating(self):
-        assert randomness(bits("01")) == 50.0
-
-    def test_population_average(self, default_params):
-        values = [
-            randomness(measure_response(new_chip(s, default_params), 7, 0, default_params))
-            for s in range(20)
-        ]
-        assert 42.0 <= sum(values) / len(values) <= 58.0
-
-
 class TestReliability:
     def test_noiseless_exactly_100(self, chip, default_params):
         assert reliability(chip, 2, 10, default_params) == 100.0
@@ -323,7 +319,7 @@ class TestPopulationBand:
         for cv in range(16):
             responses = [measure_response(c, cv * 97, 0, default_params) for c in chips]
             for ra, rb in itertools.combinations(responses, 2):
-                total += fractional_hamming(ra, rb)
+                total += hamming_distance(ra, rb) / ra.width
                 count += 1
         assert 0.40 <= total / count <= 0.60
 
@@ -334,7 +330,7 @@ class TestPopulationBand:
 
 
 class TestPopulationKernel:
-    """The array pass of evaluate_population and uniqueness against scalar
+    """The array pass of evaluate_population against scalar
     measure_response + hamming_distance over the same chips."""
 
     @pytest.mark.parametrize(
@@ -358,16 +354,13 @@ class TestPopulationKernel:
         ones_total = 0.0
         for cv in challenge_values:
             responses = [measure_response(c, cv, 0, params) for c in chips]
-            ones_total += sum(randomness(r) for r in responses)
+            ones_total += sum(100.0 * r.bits.bit_count() / r.width for r in responses)
             dists = [
                 hamming_distance(ra, rb) for ra, rb in itertools.combinations(responses, 2)
             ]
             pairs = itertools.combinations(range(n_chips), 2)
             pairwise += [(cv, a, b, d) for (a, b), d in zip(pairs, dists)]
             uniq_total += sum(d / width for d in dists)
-            assert uniqueness(chips, cv, params) == pytest.approx(
-                100.0 * sum(dists) / width / len(dists), rel=1e-12
-            )
 
         assert metrics.pairwise_distances == tuple(pairwise)
         # Exact for power-of-two widths; otherwise the scalar float sums
@@ -381,11 +374,6 @@ class TestPopulationKernel:
         else:
             assert metrics.uniqueness_pct == pytest.approx(expected_uniq, rel=1e-12)
             assert metrics.randomness_pct == pytest.approx(expected_rand, rel=1e-12)
-
-    def test_uniqueness_rejects_foreign_chip(self, chip):
-        small = PufParams(oscillator_count=200, response_bits=100)
-        with pytest.raises(ParameterError):
-            uniqueness([chip, new_chip(1, small)], 1, small)
 
     def test_challenge_count_limited_to_challenge_space(self):
         assert len(_campaign_draws(2, 0x10000, 0)[0]) == 0x10000
