@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trusttoken
@@ -68,21 +68,6 @@ def reference_response(chip, challenge, measurement_seed, params):
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 RANDOM_SEEDS = [random.Random(k).getrandbits(64) for k in range(4)]
 PARAM_SETS = [PufParams(), PufParams(oscillator_count=1000, response_bits=100)]
-
-
-def measurement_examples(test):
-    """The fixed cases of the measure_response property test: chip 7 of
-    each param set, three noise levels, three (challenge, seed) pairs."""
-    for params, noise_sigma in itertools.product(PARAM_SETS, (0.0, 1e5, 1.9e6)):
-        for challenge, measurement_seed in ((0, 0), (9, 42), (65535, 7)):
-            test = example(
-                params=params,
-                chip_seed=7,
-                challenge=challenge,
-                measurement_seed=measurement_seed,
-                noise_sigma=noise_sigma,
-            )(test)
-    return test
 
 
 class TestParams:
@@ -176,6 +161,15 @@ class TestBatchedSeeding:
         assert freqs.dtype == np.float64 and not freqs.flags.writeable
         assert freqs.tolist() == list(reference_frequencies(chip_seed, params))
 
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    @pytest.mark.parametrize("noise_sigma", [0.0, 1e5, 1.9e6])
+    def test_measure_response_matches_reference(self, params, noise_sigma):
+        params = dataclasses.replace(params, noise_sigma=noise_sigma)
+        chip = new_chip(7, params)
+        for cv, seed in ((0, 0), (9, 42), (65535, 7)):
+            expected = reference_response(chip, cv, seed, params)
+            assert measure_response(chip, cv, seed, params) == expected
+
     @settings(deadline=None)  # max_examples from the profile: 100 by default
     @given(
         params=st.sampled_from(PARAM_SETS),
@@ -184,8 +178,7 @@ class TestBatchedSeeding:
         measurement_seed=st.integers(0, 2**64 - 1),
         noise_sigma=st.just(0.0) | st.floats(1e3, 1.9e6),
     )
-    @measurement_examples
-    def test_measure_response_matches_reference(
+    def test_measure_response_matches_reference_on_drawn_inputs(
         self, params, chip_seed, challenge, measurement_seed, noise_sigma
     ):
         params = dataclasses.replace(params, noise_sigma=noise_sigma)
@@ -374,6 +367,10 @@ class TestPopulationKernel:
         else:
             assert metrics.uniqueness_pct == pytest.approx(expected_uniq, rel=1e-12)
             assert metrics.randomness_pct == pytest.approx(expected_rand, rel=1e-12)
+
+    def test_single_chip_rejected(self):
+        with pytest.raises(ParameterError, match="at least 2 chips"):
+            evaluate_population(1, 1, 0, PufParams())
 
     def test_challenge_count_limited_to_challenge_space(self):
         assert len(_campaign_draws(2, 0x10000, 0)[0]) == 0x10000
