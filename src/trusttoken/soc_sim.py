@@ -50,6 +50,15 @@ _encode_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps u
 # topology
 
 
+def _check_name(name, what: str) -> None:
+    """Reject a name the event log cannot write: not a str, or holding a
+    tab, CR or LF, which would split its tab-separated line."""
+    if not isinstance(name, str):
+        raise ConfigurationError(f"{what} must be a str, got {name!r}")
+    if "\t" in name or "\r" in name or "\n" in name:
+        raise ConfigurationError(f"{what} {name!r} contains a tab, CR or LF")
+
+
 @dataclass(frozen=True)
 class CpuSpec:
     name: str
@@ -72,6 +81,12 @@ class Topology:
     def validate(self) -> None:
         if not self.cpus or not self.wrapped_ips:
             raise ConfigurationError("topology needs at least one CPU and one wrapped IP")
+        for cpu in self.cpus:
+            _check_name(cpu.name, "CPU name")
+            for app in cpu.apps:
+                _check_name(app, "application name")
+        for ip in self.wrapped_ips:
+            _check_name(ip.object, "object name")
         apps = [a for cpu in self.cpus for a in cpu.apps]
         if len(set(apps)) != len(apps):
             raise ConfigurationError("duplicate application names")
@@ -131,7 +146,13 @@ ScriptEntry = Union[TransactionIntent, AttackInjection, ReprovisionEvent]
 class EventLog:
     """Append-only, cycle-monotonic record of a simulation run.  Each event
     becomes its ``events.log`` line as it arrives, and the counters that
-    :func:`report` reads are updated at the same time."""
+    :func:`report` reads are updated at the same time.
+
+    A line is ``cycle<TAB>actor<TAB>kind<TAB>`` followed by the text of
+    ``json.dumps(detail, sort_keys=True)``.  The hot kinds (issue, grant,
+    deny, response) have fixed writers that build that text with one
+    f-string, keys in sorted order; the rare kinds go through
+    :meth:`append`."""
 
     def __init__(self):
         self._lines: list[str] = []
@@ -140,10 +161,19 @@ class EventLog:
         self._reasons: dict[str, int] = {}  # denies and denied transitions per reason
         self._costs: dict[int, int] = {}  # grants and denies per cycle cost
 
-    def append(self, cycle: int, actor: str, kind: str, **detail) -> None:
+    def _record(self, cycle: int, kind: str, line: str, cost=None, reason=None) -> None:
+        """Add one line and update the counters; every writer ends here."""
         if self._lines and cycle < self._cycle:
             raise SimulationFault("event log cycles must be non-decreasing")
         self._cycle = cycle
+        self._lines.append(line)
+        self._counts[kind] = self._counts.get(kind, 0) + 1
+        if cost is not None:
+            self._costs[cost] = self._costs.get(cost, 0) + 1
+        if reason is not None:
+            self._reasons[reason] = self._reasons.get(reason, 0) + 1
+
+    def append(self, cycle: int, actor: str, kind: str, **detail) -> None:
         # the text of json.dumps(detail, sort_keys=True), with str and int
         # values encoded directly
         fields = []
@@ -154,16 +184,38 @@ class EventLog:
             elif type(value) is not int:
                 value = json.dumps(value)
             fields.append(f"{_encode_str(key)}: {value}")
-        self._lines.append(f"{cycle}\t{actor}\t{kind}\t{{{', '.join(fields)}}}\n")
+        line = f"{cycle}\t{actor}\t{kind}\t{{{', '.join(fields)}}}\n"
 
         if kind == "transition":
             kind += "_granted" if detail["status"] == "granted" else "_denied"
-        self._counts[kind] = self._counts.get(kind, 0) + 1
-        if kind == "grant" or kind == "deny":
-            self._costs[detail["cost"]] = self._costs.get(detail["cost"], 0) + 1
+        cost = detail["cost"] if kind == "grant" or kind == "deny" else None
+        reason = None
         if kind == "deny" or kind == "transition_denied":
             reason = detail.get("reason", "unknown")
-            self._reasons[reason] = self._reasons.get(reason, 0) + 1
+        self._record(cycle, kind, line, cost, reason)
+
+    def issue(self, cycle: int, actor: str, target: str) -> None:
+        self._record(cycle, "issue", (
+            f'{cycle}\t{actor}\tissue\t{{"target": {_encode_str(target)}}}\n'
+        ))
+
+    def grant(self, cycle: int, target: str, source: str, cost: int) -> None:
+        self._record(cycle, "grant", (
+            f'{cycle}\tcontroller\tgrant\t{{"cost": {cost}, '
+            f'"source": {_encode_str(source)}, "target": {_encode_str(target)}}}\n'
+        ), cost)
+
+    def deny(self, cycle: int, target: str, source: str, reason: str, cost: int) -> None:
+        self._record(cycle, "deny", (
+            f'{cycle}\tcontroller\tdeny\t{{"cost": {cost}, "reason": {_encode_str(reason)}, '
+            f'"source": {_encode_str(source)}, "target": {_encode_str(target)}}}\n'
+        ), cost, reason)
+
+    def response(self, cycle: int, actor: str, to: str, hex_bytes: str) -> None:
+        # hex digits need no escaping
+        self._record(cycle, "response", (
+            f'{cycle}\t{actor}\tresponse\t{{"bytes": "{hex_bytes}", "to": {_encode_str(to)}}}\n'
+        ))
 
     def __len__(self) -> int:
         return len(self._lines)
@@ -296,8 +348,9 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
     Every transaction intent yields exactly one issue and one grant/deny
     record; granted payloads produce a response record cycle_cost cycles
     later.  Entries at or beyond max_cycles have no effect, but
-    max_cycles and every entry's type, cycle, attack and access are
-    checked before the first event.
+    max_cycles and every entry's type, cycle, attack and access (its app
+    and target are str, and the app holds no tab, CR or LF) are checked
+    before the first event.
     A simulation runs once; a second call raises SimulationFault.
     """
     if sim.ran:
@@ -313,6 +366,9 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
                 raise ConfigurationError(f"cycle must be >= 0, got {entry.cycle!r}")
             access = None
             if isinstance(entry, TransactionIntent):
+                _check_name(entry.app, "access app")
+                if not isinstance(entry.target, str):
+                    raise ConfigurationError(f"access target must be a str, got {entry.target!r}")
                 _check_access(entry.attribute, entry.payload, "access")
                 access = entry.attribute
             elif isinstance(entry, AttackInjection):
@@ -325,13 +381,13 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
             raise ConfigurationError(f"script entry {i}: {exc}") from exc
     # sorted is stable: it keeps script order within a cycle
     entries = sorted((e for e in script if e.cycle < max_cycles), key=lambda e: e.cycle)
-    # deferred response records (due cycle, FIFO tie-break, actor, detail), sorted
-    pending: list[tuple[int, int, str, dict]] = []
+    # deferred response records (due cycle, FIFO tie-break, actor, (to, hex)), sorted
+    pending: list[tuple[int, int, str, tuple[str, str]]] = []
 
     def flush(up_to: int) -> None:
         due = bisect_left(pending, (up_to + 1,))  # records due at or before up_to
-        for when, _, actor, detail in pending[:due]:
-            sim.log.append(when, actor, "response", **detail)
+        for when, _, actor, (to, hex_bytes) in pending[:due]:
+            sim.log.response(when, actor, to, hex_bytes)
         del pending[:due]
 
     for entry in entries:
@@ -355,23 +411,16 @@ def _execute_txn(sim: Simulation, actor: str, txn: WrappedTransaction, pending) 
     outcome = sim._authorize(txn)
     target_name = sim.object_names[txn.target] if txn.target in sim.table else "?"
     if outcome.granted:
-        sim.log.append(
-            sim.cycle, "controller", "grant",
-            target=target_name, source=actor, cost=outcome.cycle_cost,
-        )
+        sim.log.grant(sim.cycle, target_name, actor, outcome.cycle_cost)
         wrapper = sim.wrappers[txn.target]
         response = wrapper.deliver(txn, outcome)
         # the grant just logged makes len(sim.log) a unique, rising tie-break
         insort(pending, (
             sim.cycle + outcome.cycle_cost, len(sim.log), target_name,
-            {"to": actor, "bytes": (response or b"").hex()},
+            (actor, (response or b"").hex()),
         ))
         return True
-    sim.log.append(
-        sim.cycle, "controller", "deny",
-        target=target_name, source=actor, reason=outcome.reason.value,
-        cost=outcome.cycle_cost,
-    )
+    sim.log.deny(sim.cycle, target_name, actor, outcome.reason.value, outcome.cycle_cost)
     return False
 
 
@@ -382,14 +431,11 @@ def _access(sim: Simulation, app: str, target: str, attribute: AccessAttribute,
     app's own wrapper issues the transaction unless an attacker-chosen
     sideband is given; that bypasses the wrapper and is the only forgery
     path in the simulator.  Returns granted."""
-    sim.log.append(sim.cycle, app, "issue", target=target)
+    sim.log.issue(sim.cycle, app, target)
     proc = sim.apps.get(app)
     obj = sim.objects.get(target)
     if proc is None or obj is None:
-        sim.log.append(
-            sim.cycle, "controller", "deny",
-            target=target, source=app, reason=DenialReason.MALFORMED.value, cost=1,
-        )
+        sim.log.deny(sim.cycle, target, app, DenialReason.MALFORMED.value, 1)
         return False
     if sideband is None:
         wrapper = sim.wrappers[sim.objects[sim.topology.app_to_ip[app]]]
@@ -414,7 +460,8 @@ def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
     _check_access rejects, a flip_bit that is not an int in 0..255, or an
     unknown new_level.
     A cross-IP access may name an unknown app or target; it then runs as
-    a malformed transaction and is denied."""
+    a malformed transaction and is denied.  Its app, written as the issue
+    record's actor, must not hold a tab, CR or LF."""
     p = attack.params
     kind = attack.kind.value
     for key in p:
@@ -427,7 +474,10 @@ def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
         if key not in p:
             if attack.kind is not AttackKind.TAMPER_INTERCONNECT_SIGNAL:
                 raise ConfigurationError(f"{kind} attack needs {key!r}")
-        elif attack.kind is not AttackKind.CROSS_IP_ACCESS and str(p[key]) not in known:
+        elif attack.kind is AttackKind.CROSS_IP_ACCESS:
+            if key == "app":
+                _check_name(str(p[key]), f"{kind} attack app")
+        elif str(p[key]) not in known:
             raise ConfigurationError(f"{kind} attack names unknown {key} {p[key]!r}")
     if (attack.kind is AttackKind.TAMPER_INTERCONNECT_SIGNAL and "app" not in p
             and not sim.topology.cpus[0].apps):

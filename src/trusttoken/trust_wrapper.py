@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import methodcaller
 from typing import Callable, Optional
 
 from .errors import ConfigurationError, ParameterError, SimulationFault
@@ -63,11 +64,17 @@ def _rsa_stub(payload: bytes) -> bytes:
     return bytes(pow(b, 17, 251) for b in payload)
 
 
+def _translate(byte_map: Callable[[bytes], bytes]) -> Callable[[bytes], bytes]:
+    """A stub that maps each byte on its own, run as ``payload.translate``
+    of its table over all 256 byte values."""
+    return methodcaller("translate", byte_map(bytes(range(256))))
+
+
 _STANDARD_STUBS = {
-    "AES": _aes_stub,
-    "DES": _des_stub,
+    "AES": _translate(_aes_stub),
+    "DES": _translate(_des_stub),
     "TRNG": _trng_stub,
-    "RSA": _rsa_stub,
+    "RSA": _translate(_rsa_stub),
 }
 
 

@@ -121,6 +121,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == f"error: script entry 1: {kind} attack names unknown app 'ghost'\n"
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("apps: [app1]", 'apps: ["a\\tpp\\nX"]', "application name 'a\\tpp\\nX'"),
+            ("name: cpu0", 'name: "cpu\\r0"', "CPU name 'cpu\\r0'"),
+            ("object: aes, integrity", 'object: "a\\tes", integrity', "object name 'a\\tes'"),
+            ("app: app1, target", 'app: "gh\\nost", target',
+             "script entry 0: access app 'gh\\nost'"),
+            ("payload: \"00ff\"}", "payload: \"00ff\"}\n  - {cycle: 5, type: attack,"
+             ' kind: cross_ip_access, app: "gh\\tost", target: aes}',
+             "script entry 1: cross_ip_access attack app 'gh\\tost'"),
+        ],
+        ids=["app", "cpu", "object", "access-app", "cross-ip-app"],
+    )
+    def test_name_that_would_split_a_log_line_exits_1(self, tmp_path, capsys, old, new, message):
+        text = bundled_config("smoke.cfg").read_text()
+        assert old in text
+        cfg = tmp_path / "name.cfg"
+        cfg.write_text(text.replace(old, new))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: {message} contains a tab, CR or LF\n"
+        assert not (tmp_path / "o").exists()
+
     def test_integrity_attack_on_unknown_target_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "ghost.cfg"
         cfg.write_text(

@@ -53,6 +53,15 @@ def paper_topology(integrity=IntegrityLevel.HIGH):
     )
 
 
+def one_ip_topology(cpu="cpu0", app="app1", obj="aes"):
+    return Topology(cpus=(CpuSpec(cpu, (app,)),), wrapped_ips=(IpSpec("AES", obj),),
+                    app_to_ip={app: obj})
+
+
+# one_ip_topology's name arguments and what Topology.validate calls them
+NAMED = [("cpu", "CPU"), ("app", "application"), ("obj", "object")]
+
+
 def benign_script():
     return [
         TransactionIntent(1, "app1", "aes", RWE, b"\x01"),
@@ -125,11 +134,37 @@ class TestBuild:
         with pytest.raises(ConfigurationError, match="duplicate"):
             build(topo, 1)
 
+    @pytest.mark.parametrize("name", ["a\tpp\nX", "a\rpp", "app\n"])
+    @pytest.mark.parametrize("where, what", NAMED)
+    def test_name_that_would_split_a_log_line_rejected(self, where, what, name):
+        # the actor column is written unescaped, so a tab or line break in
+        # a name would split its events.log line
+        with pytest.raises(ConfigurationError, match=f"^{what} name .* contains a tab, CR or LF$"):
+            build(one_ip_topology(**{where: name}), 1)
+
+    @pytest.mark.parametrize("where, what", NAMED)
+    def test_name_that_is_not_a_str_rejected(self, where, what):
+        with pytest.raises(ConfigurationError, match=f"^{what} name must be a str, got 7$"):
+            build(one_ip_topology(**{where: 7}), 1)
+
     def test_token_collision_is_logged(self, colliding_draws):
         sim = build(paper_topology(), 3)
         assert records(sim.log) == [
             (0, "controller", "fault", {"event": "token_collision", "object": 1})
         ]
+
+    def test_token_collision_goes_through_append(self, colliding_draws, monkeypatch):
+        # the benchmark's trace counts collisions through a hook on EventLog.append
+        seen = []
+        append = EventLog.append
+
+        def spy(log, cycle, actor, kind, **detail):
+            seen.append((kind, detail.get("event")))
+            append(log, cycle, actor, kind, **detail)
+
+        monkeypatch.setattr(EventLog, "append", spy)
+        build(paper_topology(), 3)
+        assert seen == [("fault", "token_collision")]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -371,6 +406,14 @@ class TestAttackChecks:
             (TransactionIntent(True, "app1", "aes", R), "cycle must be >= 0, got True"),
             ({"cycle": 1}, "not a script entry"),
             (None, "not a script entry"),
+            # names the issue record would write unescaped as its actor
+            (TransactionIntent(10, "a\tpp\nX", "aes", R),
+             "access app 'a\\\\tpp\\\\nX' contains a tab, CR or LF"),
+            (TransactionIntent(10, "gh\rost", "aes", R), "access app .* contains a tab, CR or LF"),
+            (AttackInjection(AttackKind.CROSS_IP_ACCESS, 10, {"app": "gh\nost", "target": "rsa"}),
+             "cross_ip_access attack app .* contains a tab, CR or LF"),
+            (TransactionIntent(10, 5, "aes", R), "access app must be a str, got 5"),
+            (TransactionIntent(10, "app1", 5, R), "access target must be a str, got 5"),
         ],
     )
     def test_bad_entry_rejected_before_the_run(self, entry, message):
@@ -459,6 +502,17 @@ class TestUnknownTargetId:
 # characters and non-ASCII, in keys as well as values.
 _text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\té\u2028€😀'), st.characters()))
 
+# names the event log can write as an actor
+_actor = _text.filter(lambda name: not any(c in name for c in "\t\r\n"))
+# each fixed writer, called with the fields of its record's detail
+_WRITERS = {
+    "issue": lambda log, cycle, actor, d: log.issue(cycle, actor, d["target"]),
+    "grant": lambda log, cycle, actor, d: log.grant(cycle, d["target"], d["source"], d["cost"]),
+    "deny": lambda log, cycle, actor, d: log.deny(
+        cycle, d["target"], d["source"], d["reason"], d["cost"]),
+    "response": lambda log, cycle, actor, d: log.response(cycle, actor, d["to"], d["bytes"]),
+}
+
 
 class TestEventLine:
     @given(
@@ -472,6 +526,30 @@ class TestEventLine:
         log = EventLog()
         log.append(7, "app1", "issue", **detail)
         assert log.to_text() == "7\tapp1\tissue\t" + json.dumps(dict(detail), sort_keys=True) + "\n"
+
+    @given(
+        records=st.lists(st.tuples(st.integers(0, 3), st.one_of(
+            st.tuples(st.just("issue"), _actor, st.fixed_dictionaries({"target": _text})),
+            st.tuples(st.just("grant"), st.just("controller"), st.fixed_dictionaries(
+                {"target": _text, "source": _text, "cost": st.integers()})),
+            st.tuples(st.just("deny"), st.just("controller"), st.fixed_dictionaries(
+                {"target": _text, "source": _text, "reason": _text, "cost": st.integers()})),
+            st.tuples(st.just("response"), _actor, st.fixed_dictionaries(
+                {"to": _text, "bytes": st.binary().map(bytes.hex)})),
+        ))),
+    )
+    @settings(deadline=None)  # max_examples from the profile: 100 by default
+    def test_fixed_writers_match_json_dumps(self, records):
+        # each record's cycle is the last one's plus the drawn step
+        log = EventLog()
+        lines = []
+        cycle = 0
+        for step, (kind, actor, detail) in records:
+            cycle += step
+            _WRITERS[kind](log, cycle, actor, detail)
+            lines.append(f"{cycle}\t{actor}\t{kind}\t" + json.dumps(detail, sort_keys=True) + "\n")
+        assert log.to_text() == "".join(lines)
+        assert report(log) == log_oracle.report(log)
 
 
 def _run_config(name, mode):

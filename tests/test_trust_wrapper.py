@@ -1,9 +1,17 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trusttoken.errors import ConfigurationError, ParameterError, SimulationFault
-from trusttoken.policy_engine import AccessAttribute, IntegrityLevel, ProcessId
+from trusttoken.policy_engine import AccessAttribute, DenialReason, IntegrityLevel, ProcessId
 from trusttoken.token_authority import AuthorizationOutcome
-from trusttoken.trust_wrapper import TrustWrapper, standard_stub
+from trusttoken.trust_wrapper import (
+    TrustWrapper,
+    _aes_stub,
+    _des_stub,
+    _rsa_stub,
+    standard_stub,
+)
 
 PROC = ProcessId(0, 0)
 OBJ = 0
@@ -31,6 +39,37 @@ class TestStubs:
     def test_unknown_stub(self):
         with pytest.raises(ConfigurationError):
             standard_stub("SHA3")
+
+
+# the byte maps the standard stubs run as translate tables, and the
+# byte-at-a-time transforms the tables are built from
+TABLE_STUBS = [("AES", _aes_stub), ("DES", _des_stub), ("RSA", _rsa_stub)]
+
+
+class TestTableStubs:
+    @pytest.mark.parametrize("name, reference", TABLE_STUBS)
+    def test_table_stub_matches_reference_on_every_byte(self, name, reference):
+        stub = standard_stub(name)
+        for b in range(256):
+            assert stub(bytes([b])) == reference(bytes([b]))
+        assert stub(b"") == reference(b"") == b""
+
+    @pytest.mark.parametrize("name, reference", TABLE_STUBS)
+    @given(payload=st.binary())  # max_examples from the profile: 100 by default
+    def test_table_stub_matches_reference_on_drawn_payloads(self, name, reference, payload):
+        assert standard_stub(name)(payload) == reference(payload)
+
+    @pytest.mark.parametrize("name, reference", TABLE_STUBS)
+    def test_stub_invocations_count_only_granted_deliveries(self, name, reference):
+        w = TrustWrapper(standard_stub(name), OBJ, IntegrityLevel.HIGH)
+        w.install_credentials(3, TOKEN)
+        granted = [i % 3 == 0 for i in range(30)]
+        for i, grant in enumerate(granted):
+            txn = w.issue(OBJ, AccessAttribute.READ, bytes([i, 255 - i]), source=PROC)
+            reason = None if grant else DenialReason.TOKEN_MISMATCH
+            response = w.deliver(txn, AuthorizationOutcome(grant, 2, reason, serial=txn.serial))
+            assert response == (reference(txn.payload) if grant else None)
+        assert w.stub_invocations == sum(granted)
 
 
 class TestIssue:
@@ -64,8 +103,6 @@ class TestDeliver:
         assert wrapper.stub_invocations == 1
 
     def test_denied_never_reaches_stub(self, wrapper):
-        from trusttoken.policy_engine import DenialReason
-
         for i in range(50):
             txn = wrapper.issue(OBJ, AccessAttribute.READ, bytes([i]), source=PROC)
             outcome = AuthorizationOutcome(False, 2, DenialReason.TOKEN_MISMATCH, serial=txn.serial)
