@@ -59,14 +59,22 @@ def load_config(path: Path) -> dict:
     return data
 
 
+def _topology_list(value, what: str) -> list:
+    """A topology list; iterating a str or a mapping in its place would
+    read each character or key as an item."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"topology section: {what} must be a list, got {value!r}")
+    return value
+
+
 def parse_topology(section: dict) -> Topology:
     try:
         cpus = tuple(
             CpuSpec(
                 name=str(c["name"]),
-                apps=tuple(str(a) for a in c.get("apps", [])),
+                apps=tuple(str(a) for a in _topology_list(c.get("apps", []), "apps")),
             )
-            for c in section["cpus"]
+            for c in _topology_list(section["cpus"], "cpus")
         )
         ips = tuple(
             IpSpec(
@@ -74,7 +82,7 @@ def parse_topology(section: dict) -> Topology:
                 object=str(ip["object"]),
                 integrity=IntegrityLevel(str(ip.get("integrity", "HIGH"))),
             )
-            for ip in section["ips"]
+            for ip in _topology_list(section["ips"], "ips")
         )
         app_map = {str(k): str(v) for k, v in section["app_map"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -94,11 +102,11 @@ def parse_script(entries) -> list:
             if kind == "access":
                 script.append(
                     TransactionIntent(
-                        cycle=cycle,
-                        app=str(raw["app"]),
-                        target=str(raw["target"]),
-                        attribute=attribute_from_str(str(raw.get("access", "r"))),
-                        payload=bytes.fromhex(str(raw.get("payload", ""))),
+                        cycle,
+                        str(raw["app"]),
+                        str(raw["target"]),
+                        attribute_from_str(str(raw.get("access", "r"))),
+                        bytes.fromhex(str(raw.get("payload", ""))),
                     )
                 )
             elif kind == "attack":

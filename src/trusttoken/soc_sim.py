@@ -14,7 +14,7 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ConfigurationError, MatrixTamperError, SimulationFault
 from .policy_engine import (
@@ -115,8 +115,7 @@ class AttackKind(Enum):
     REPLAY_STALE_TOKEN = "replay_stale_token"
 
 
-@dataclass(frozen=True)
-class TransactionIntent:
+class TransactionIntent(NamedTuple):
     cycle: int
     app: str
     target: str

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,16 +30,11 @@ from .puf_model import ChipFingerprint, PufParams, measure_response
 _PROVISION_SALT = 0x50524F
 
 
-@dataclass(frozen=True)
-class AuthorizationOutcome:
+class AuthorizationOutcome(NamedTuple):
     granted: bool
-    cycle_cost: int
+    cycle_cost: int  # 1 or 2, a literal at every site that builds an outcome
     reason: Optional[DenialReason] = None
     serial: Optional[int] = None
-
-    def __post_init__(self):
-        if self.cycle_cost not in (1, 2):
-            raise ParameterError("cycle_cost must be 1 or 2")
 
 
 @dataclass
@@ -183,7 +178,7 @@ def authorize(table: TokenTable, txn, policy: SystemModel) -> AuthorizationOutco
             reason = evaluate(policy, request, table)
             decision = (reason is None, 2, reason)
         table._decisions[key] = decision
-    return AuthorizationOutcome(*decision, serial=txn.serial)
+    return AuthorizationOutcome(*decision, txn.serial)
 
 
 def request_integrity_transition(

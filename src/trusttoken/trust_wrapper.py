@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from operator import methodcaller
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ConfigurationError, ParameterError, SimulationFault
 from .policy_engine import AccessAttribute, IntegrityLevel, ProcessId
@@ -27,8 +27,7 @@ class SidebandSignals:
     ar_integrity: IntegrityLevel
 
 
-@dataclass(frozen=True)
-class WrappedTransaction:
+class WrappedTransaction(NamedTuple):
     source: ProcessId
     target: int
     kind: AccessAttribute
@@ -118,12 +117,7 @@ class TrustWrapper:
             raise ParameterError("transaction kind needs at least one access bit")
         self._issue_counter += 1
         return WrappedTransaction(
-            source=source,
-            target=target,
-            kind=kind,
-            payload=bytes(payload),
-            sideband=self.sideband,
-            serial=self._issue_counter,
+            source, target, kind, bytes(payload), self.sideband, self._issue_counter
         )
 
     def deliver(

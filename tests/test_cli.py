@@ -209,6 +209,31 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "replacements, message",
+        [
+            ({"apps: [app1]": "apps: app1"}, "apps must be a list, got 'app1'"),
+            # a str of one-letter names, which would split into the apps a and b
+            ({"apps: [app1]": "apps: ab", "app_map: {app1: aes}": "app_map: {a: aes, b: aes}"},
+             "apps must be a list, got 'ab'"),
+            ({"- {name: cpu0, apps: [app1]}": "{name: cpu0, apps: [app1]}"},
+             "cpus must be a list, got {'name': 'cpu0', 'apps': ['app1']}"),
+            ({"- {stub: AES, object: aes, integrity: HIGH}": "AES"}, "ips must be a list, got 'AES'"),
+        ],
+        ids=["apps-app1", "apps-ab", "cpus-mapping", "ips-str"],
+    )
+    def test_topology_list_that_is_not_a_list_exits_1(self, tmp_path, capsys, replacements,
+                                                     message):
+        text = bundled_config("smoke.cfg").read_text()
+        for old, new in replacements.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "topology.cfg"
+        cfg.write_text(text)
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: topology section: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "value, shown",
         [("5", "5"), ("true", "True"), ("false", "False"), ("0", "0"), ('""', "''"), ("{}", "{}")],
     )

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import log_oracle
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from log_oracle import records
 
+from trusttoken import soc_sim
 from trusttoken.errors import ConfigurationError, SimulationFault, TrustTokenError
-from trusttoken.policy_engine import AccessAttribute, IntegrityLevel
+from trusttoken.policy_engine import AccessAttribute, IntegrityLevel, ProcessId
 from trusttoken.scenario_cli import (
     bundled_config,
     load_config,
@@ -31,7 +33,8 @@ from trusttoken.soc_sim import (
     report,
     run,
 )
-from trusttoken.trust_wrapper import WrappedTransaction
+from trusttoken.token_authority import AuthorizationOutcome
+from trusttoken.trust_wrapper import SidebandSignals, WrappedTransaction
 
 R = AccessAttribute.READ
 RWE = AccessAttribute.READ | AccessAttribute.WRITE | AccessAttribute.EXECUTE
@@ -406,6 +409,8 @@ class TestAttackChecks:
             (TransactionIntent(True, "app1", "aes", R), "cycle must be >= 0, got True"),
             ({"cycle": 1}, "not a script entry"),
             (None, "not a script entry"),
+            # a plain tuple equals the intent with the same fields, but is not one
+            ((10, "app1", "aes", R, b""), "not a script entry"),
             # names the issue record would write unescaped as its actor
             (TransactionIntent(10, "a\tpp\nX", "aes", R),
              "access app 'a\\\\tpp\\\\nX' contains a tab, CR or LF"),
@@ -421,6 +426,21 @@ class TestAttackChecks:
         with pytest.raises(ConfigurationError, match=f"script entry 5: {message}"):
             run(sim, benign_script() + [entry], 100)
         assert len(sim.log) == 0
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            TransactionIntent(10, "app1", "aes", R),
+            WrappedTransaction(ProcessId(0, 0), 0, R, b"",
+                               SidebandSignals(1, 0, IntegrityLevel.HIGH), 1),
+            AuthorizationOutcome(True, 2, serial=1),
+        ],
+        ids=["intent", "transaction", "outcome"],
+    )
+    def test_records_are_read_only(self, record):
+        for name in record._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
     @pytest.mark.parametrize("max_cycles", [-1, 2.5, True, "100"])
     def test_bad_max_cycles_rejected_before_the_run(self, max_cycles):
@@ -620,7 +640,21 @@ class TestLiveCounters:
                               for ip, level in zip(topology.wrapped_ips, levels)),
             app_to_ip=topology.app_to_ip,
         )
-        log = run(build(topology, seed, mode=mode), script, 25)
+        # every outcome either mode decides or a transition returns costs 1 or 2 cycles
+        outcomes = []
+
+        def recorded(decide):
+            def call(*args):
+                outcomes.append(decide(*args))
+                return outcomes[-1]
+            return call
+
+        sim = build(topology, seed, mode=mode)
+        sim._authorize = recorded(sim._authorize)
+        with mock.patch.object(soc_sim, "request_integrity_transition",
+                               recorded(soc_sim.request_integrity_transition)):
+            log = run(sim, script, 25)
+        assert all(outcome.cycle_cost in (1, 2) for outcome in outcomes)
         assert report(log) == log_oracle.report(log)
         cycles = [r.cycle for r in records(log)]
         assert cycles == sorted(cycles)
