@@ -218,8 +218,8 @@ def evaluate(model: SystemModel, request: AccessRequest, credentials) -> Optiona
     order, part of the observable reason contract: unknown reference,
     foreign process, credentials (MALFORMED for an unprovisioned object),
     empty attribute, matrix rule (``covers``).  ``authorize`` runs all of
-    them on every HIGH target; the simulator's baseline mode runs only an
-    unknown-target check and the matrix rule.
+    them on every HIGH target; the simulator's baseline mode runs only the
+    matrix rule.
     """
     if not model.knows(request.user, request.process, request.object):
         return DenialReason.MALFORMED

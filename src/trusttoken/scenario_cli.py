@@ -19,7 +19,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigurationError, TrustTokenError
+from .errors import ConfigurationError, ParameterError, TrustTokenError
 from .policy_engine import IntegrityLevel, attribute_from_str
 from .puf_model import PufParams, evaluate_population
 from .soc_sim import (
@@ -90,6 +90,13 @@ def parse_topology(section: dict) -> Topology:
     return Topology(cpus=cpus, wrapped_ips=ips, app_to_ip=app_map)
 
 
+def _payload(value) -> bytes:
+    """Bytes from hex digits in a str; YAML reads an unquoted 0012 as the int 10."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"payload must be a quoted hex string, got {value!r}")
+    return bytes.fromhex(value)
+
+
 def parse_script(entries) -> list:
     entries = [] if entries is None else entries
     if not isinstance(entries, list):
@@ -100,15 +107,11 @@ def parse_script(entries) -> list:
             cycle = raw["cycle"]  # run() checks it is an int >= 0
             kind = str(raw.get("type", "access"))
             if kind == "access":
-                script.append(
-                    TransactionIntent(
-                        cycle,
-                        str(raw["app"]),
-                        str(raw["target"]),
-                        attribute_from_str(str(raw.get("access", "r"))),
-                        bytes.fromhex(str(raw.get("payload", ""))),
-                    )
-                )
+                script.append(TransactionIntent(
+                    cycle, str(raw["app"]), str(raw["target"]),
+                    attribute_from_str(str(raw.get("access", "r"))),
+                    _payload(raw.get("payload", "")),
+                ))
             elif kind == "attack":
                 params = {
                     k: v for k, v in raw.items() if k not in ("cycle", "type", "kind")
@@ -117,7 +120,7 @@ def parse_script(entries) -> list:
                     if key in params:
                         params["attribute"] = attribute_from_str(str(params.pop(key)))
                 if "payload" in params:
-                    params["payload"] = bytes.fromhex(str(params.pop("payload")))
+                    params["payload"] = _payload(params["payload"])
                 script.append(
                     AttackInjection(
                         kind=AttackKind(str(raw["kind"])),
@@ -131,6 +134,8 @@ def parse_script(entries) -> list:
                 raise ConfigurationError(f"unknown script entry type {kind!r}")
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"script entry {i}: {exc!r}") from exc
+        except (ConfigurationError, ParameterError) as exc:  # ParameterError: a bad access flag
+            raise ConfigurationError(f"script entry {i}: {exc}") from exc
     return script
 
 

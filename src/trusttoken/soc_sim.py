@@ -308,14 +308,12 @@ class Simulation:
         runs every ``evaluate`` stage (unknown reference, foreign process,
         credentials, empty attribute, matrix) on HIGH targets, and answers
         a repeated request from the table's memo.  The uncached token-free
-        baseline runs a subset, all at cycle cost 1: unknown
-        target -> MALFORMED; the bypass flags (interconnect check disabled,
-        or the target's protection signal cleared) -> grant; then the shared
-        matrix rule ``SystemModel.covers`` -> MATRIX_DENY."""
+        baseline runs a subset, all at cycle cost 1: the bypass flags
+        (interconnect check disabled, or the target's protection signal
+        cleared) -> grant; then the shared matrix rule
+        ``SystemModel.covers`` -> MATRIX_DENY."""
         if self.mode == MODE_TRUSTTOKEN:
             return authorize(self.table, txn, self.model)
-        if txn.target not in self.table:
-            return AuthorizationOutcome(False, 1, DenialReason.MALFORMED, serial=txn.serial)
         bypassed = not self._baseline_check_enabled or not self._baseline_secure[txn.target]
         if bypassed or self.model.covers(txn.source, txn.target, txn.kind):
             return AuthorizationOutcome(True, 1, serial=txn.serial)
@@ -347,9 +345,8 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
     Every transaction intent yields exactly one issue and one grant/deny
     record; granted payloads produce a response record cycle_cost cycles
     later.  Entries at or beyond max_cycles have no effect, but
-    max_cycles and every entry's type, cycle, attack and access (its app
-    and target are str, and the app holds no tab, CR or LF) are checked
-    before the first event.
+    max_cycles and every entry's type, cycle, attack and access are
+    checked, and each attack's params resolved, before the first event.
     A simulation runs once; a second call raises SimulationFault.
     """
     if sim.ran:
@@ -357,29 +354,21 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
     sim.ran = True
     if not _is_count(max_cycles):
         raise ConfigurationError(f"max_cycles must be an integer >= 0, got {max_cycles!r}")
+    entries = []  # (entry, its resolved attack args or None) for each entry run
     for i, entry in enumerate(script):
         try:
             if not isinstance(entry, (TransactionIntent, AttackInjection, ReprovisionEvent)):
                 raise ConfigurationError(f"not a script entry: {entry!r}")
             if not _is_count(entry.cycle):
                 raise ConfigurationError(f"cycle must be >= 0, got {entry.cycle!r}")
-            access = None
             if isinstance(entry, TransactionIntent):
-                _check_name(entry.app, "access app")
-                if not isinstance(entry.target, str):
-                    raise ConfigurationError(f"access target must be a str, got {entry.target!r}")
-                _check_access(entry.attribute, entry.payload, "access")
-                access = entry.attribute
-            elif isinstance(entry, AttackInjection):
-                _check_attack(sim, entry)
-                if entry.kind is AttackKind.CROSS_IP_ACCESS:
-                    access = entry.params.get("attribute", AccessAttribute.READ)
-            if access == AccessAttribute.NONE:
-                raise ConfigurationError("an access needs at least one access bit")
+                _check_access(entry.app, entry.target, entry.attribute, entry.payload, "access")
+            args = _check_attack(sim, entry) if isinstance(entry, AttackInjection) else None
         except ConfigurationError as exc:
             raise ConfigurationError(f"script entry {i}: {exc}") from exc
-    # sorted is stable: it keeps script order within a cycle
-    entries = sorted((e for e in script if e.cycle < max_cycles), key=lambda e: e.cycle)
+        if entry.cycle < max_cycles:
+            entries.append((entry, args))
+    entries.sort(key=lambda pair: pair[0].cycle)  # stable: script order within a cycle
     # deferred response records (due cycle, FIFO tie-break, actor, (to, hex)), sorted
     pending: list[tuple[int, int, str, tuple[str, str]]] = []
 
@@ -389,7 +378,7 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
             sim.log.response(when, actor, to, hex_bytes)
         del pending[:due]
 
-    for entry in entries:
+    for entry, args in entries:
         cycle = entry.cycle
         flush(cycle)
         sim.cycle = cycle
@@ -400,36 +389,18 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
             sim._provision(initial=False)
             sim.log.append(cycle, "controller", "reprovision", epoch=sim.epoch)
         else:
-            _run_attack(sim, entry, pending)
+            _run_attack(sim, entry, args, pending)
     flush(max_cycles)
     return sim.log
-
-
-def _execute_txn(sim: Simulation, actor: str, txn: WrappedTransaction, pending) -> bool:
-    """Authorize, log grant/deny, and deliver on grant.  Returns granted."""
-    outcome = sim._authorize(txn)
-    target_name = sim.object_names[txn.target] if txn.target in sim.table else "?"
-    if outcome.granted:
-        sim.log.grant(sim.cycle, target_name, actor, outcome.cycle_cost)
-        wrapper = sim.wrappers[txn.target]
-        response = wrapper.deliver(txn, outcome)
-        # the grant just logged makes len(sim.log) a unique, rising tie-break
-        insort(pending, (
-            sim.cycle + outcome.cycle_cost, len(sim.log), target_name,
-            (actor, (response or b"").hex()),
-        ))
-        return True
-    sim.log.deny(sim.cycle, target_name, actor, outcome.reason.value, outcome.cycle_cost)
-    return False
 
 
 def _access(sim: Simulation, app: str, target: str, attribute: AccessAttribute,
             payload: bytes, pending, sideband: Optional[SidebandSignals] = None) -> bool:
     """One bus access from app to target: log the issue record, deny an
-    unknown app or target as malformed, else authorize and deliver.  The
-    app's own wrapper issues the transaction unless an attacker-chosen
-    sideband is given; that bypasses the wrapper and is the only forgery
-    path in the simulator.  Returns granted."""
+    unknown app or target as malformed, else authorize, log the outcome and
+    deliver on grant.  The app's own wrapper issues the transaction unless
+    an attacker-chosen sideband is given; that bypasses the wrapper and is
+    the only forgery path in the simulator.  Returns granted."""
     sim.log.issue(sim.cycle, app, target)
     proc = sim.apps.get(app)
     obj = sim.objects.get(target)
@@ -442,87 +413,110 @@ def _access(sim: Simulation, app: str, target: str, attribute: AccessAttribute,
     else:
         sim._forge_serial -= 1
         txn = WrappedTransaction(proc, obj, attribute, payload, sideband, sim._forge_serial)
-    return _execute_txn(sim, app, txn, pending)
+    outcome = sim._authorize(txn)
+    if not outcome.granted:
+        sim.log.deny(sim.cycle, target, app, outcome.reason.value, outcome.cycle_cost)
+        return False
+    sim.log.grant(sim.cycle, target, app, outcome.cycle_cost)
+    response = sim.wrappers[obj].deliver(txn, outcome)
+    # the grant just logged makes len(sim.log) a unique, rising tie-break
+    insort(pending, (sim.cycle + outcome.cycle_cost, len(sim.log), target, (app, response.hex())))
+    return True
 
 
-def _check_access(attribute, payload, what: str) -> None:
+def _check_fields(attribute, payload, what: str) -> None:
     if not isinstance(attribute, AccessAttribute):
         raise ConfigurationError(f"{what} attribute must be an AccessAttribute, got {attribute!r}")
     if not isinstance(payload, bytes):
         raise ConfigurationError(f"{what} payload must be bytes, got {payload!r}")
 
 
-def _check_attack(sim: Simulation, attack: AttackInjection) -> None:
-    """Reject an attack the run could not carry out: a param key that is
-    not a str or that clashes with a field of its attack_fired record, a
-    missing or unknown app or target, an attribute or payload that
-    _check_access rejects, a flip_bit that is not an int in 0..255, or an
-    unknown new_level.
-    A cross-IP access may name an unknown app or target; it then runs as
-    a malformed transaction and is denied.  Its app, written as the issue
-    record's actor, must not hold a tab, CR or LF."""
+def _check_access(app, target, attribute, payload, what: str) -> None:
+    """Reject an access the run could not carry out: an app that _check_name
+    rejects (the issue record's actor), a target that is not a str, an
+    attribute or payload of the wrong type, or no access bit.  An unknown
+    app or target runs, as a malformed and denied transaction."""
+    _check_name(app, f"{what} app")
+    if not isinstance(target, str):
+        raise ConfigurationError(f"{what} target must be a str, got {target!r}")
+    _check_fields(attribute, payload, what)
+    if attribute == AccessAttribute.NONE:
+        raise ConfigurationError("an access needs at least one access bit")
+
+
+def _check_attack(sim: Simulation, attack: AttackInjection) -> dict:
+    """Check an attack and return its args with every default filled in:
+    app (absent on tamper_integrity_level) and target as str, attribute,
+    payload, flip_bit, new_level as an IntegrityLevel, and stolen (its
+    token is "stolen").  An interconnect tamper's app and target default
+    to the first CPU's first app and the first wrapped IP.  Reject a param
+    key that is not a str or that its attack_fired record has, a missing
+    or unknown app or target (a cross-IP access is checked as a script
+    access is), an attribute or payload of the wrong type, a flip_bit that
+    is not an int in 0..255, or an unknown new_level.  Forge and replay
+    may send an empty attribute, which ``evaluate`` denies."""
     p = attack.params
-    kind = attack.kind.value
+    what = f"{attack.kind.value} attack"
     for key in p:
         if not isinstance(key, str) or key in ("attack", "actor", "cycle", "kind"):
-            raise ConfigurationError(f"{kind} attack has reserved or non-string param {key!r}")
-    names = {"app": sim.apps, "target": sim.objects}
-    if attack.kind is AttackKind.TAMPER_INTEGRITY_LEVEL:
+            raise ConfigurationError(f"{what} has reserved or non-string param {key!r}")
+    names = {"app": None, "target": None}
+    if attack.kind is AttackKind.TAMPER_INTERCONNECT_SIGNAL:
+        names = {"app": next(iter(sim.topology.cpus[0].apps), None),
+                 "target": sim.topology.wrapped_ips[0].object}
+    elif attack.kind is AttackKind.TAMPER_INTEGRITY_LEVEL:
         del names["app"]
-    for key, known in names.items():
-        if key not in p:
-            if attack.kind is not AttackKind.TAMPER_INTERCONNECT_SIGNAL:
-                raise ConfigurationError(f"{kind} attack needs {key!r}")
-        elif attack.kind is AttackKind.CROSS_IP_ACCESS:
-            if key == "app":
-                _check_name(str(p[key]), f"{kind} attack app")
-        elif str(p[key]) not in known:
-            raise ConfigurationError(f"{kind} attack names unknown {key} {p[key]!r}")
-    if (attack.kind is AttackKind.TAMPER_INTERCONNECT_SIGNAL and "app" not in p
-            and not sim.topology.cpus[0].apps):
-        raise ConfigurationError(f"{kind} attack needs 'app': the first CPU runs no app")
-    _check_access(p.get("attribute", AccessAttribute.READ), p.get("payload", b""), f"{kind} attack")
+    known = {"app": sim.apps, "target": sim.objects}
+    for key in names:
+        if key in p:
+            names[key] = str(p[key])
+            if attack.kind is not AttackKind.CROSS_IP_ACCESS and names[key] not in known[key]:
+                raise ConfigurationError(f"{what} names unknown {key} {p[key]!r}")
+        elif names[key] is None:
+            raise ConfigurationError(f"{what} needs {key!r}")
+    attribute = p.get("attribute", AccessAttribute.READ)
+    payload = p.get("payload", b"")
+    if attack.kind is AttackKind.CROSS_IP_ACCESS:
+        _check_access(names["app"], names["target"], attribute, payload, what)
+    else:
+        _check_fields(attribute, payload, what)
     flip_bit = p.get("flip_bit", 0)
     if not _is_count(flip_bit) or flip_bit > 255:
         raise ConfigurationError(f"flip_bit must be in 0..255, got {flip_bit!r}")
-    if str(p.get("new_level", "LOW")) not in {level.value for level in IntegrityLevel}:
-        raise ConfigurationError(f"{kind} attack has unknown new_level {p['new_level']!r}")
+    try:
+        new_level = IntegrityLevel(str(p.get("new_level", "LOW")))
+    except ValueError:
+        raise ConfigurationError(f"{what} has unknown new_level {p['new_level']!r}") from None
+    return dict(names, attribute=attribute, payload=payload, flip_bit=flip_bit,
+                new_level=new_level, stolen=p.get("token") == "stolen")
 
 
-def _run_attack(sim: Simulation, attack: AttackInjection, pending) -> None:
-    p = dict(attack.params)
+def _run_attack(sim: Simulation, attack: AttackInjection, args: dict, pending) -> None:
     sim.log.append(
         sim.cycle, "attacker", "attack_fired",
-        attack=attack.kind.value, **{k: str(v) for k, v in p.items()},
+        attack=attack.kind.value, **{k: str(v) for k, v in attack.params.items()},
     )
     blocked = False
     detail: dict = {"attack": attack.kind.value}
+    target = args["target"]
 
     if attack.kind is AttackKind.CROSS_IP_ACCESS:
-        blocked = not _access(
-            sim, str(p["app"]), str(p["target"]),
-            p.get("attribute", AccessAttribute.READ), p.get("payload", b""), pending,
-        )
+        blocked = not _access(sim, args["app"], target, args["attribute"], args["payload"], pending)
 
     elif attack.kind in (AttackKind.FORGE_TOKEN, AttackKind.REPLAY_STALE_TOKEN):
-        target = str(p["target"])
         ip_id, token = sim._attack_surface[target]
         if attack.kind is AttackKind.FORGE_TOKEN:
-            token ^= 1 << 255 - p.get("flip_bit", 0)  # bit 0 is the most significant
-        blocked = not _access(
-            sim, str(p["app"]), target, p.get("attribute", AccessAttribute.READ), b"", pending,
+            token ^= 1 << 255 - args["flip_bit"]  # bit 0 is the most significant
+        blocked = not _access(  # a forged or replayed access carries no payload
+            sim, args["app"], target, args["attribute"], b"", pending,
             SidebandSignals(token, ip_id, IntegrityLevel.HIGH),
         )
 
     elif attack.kind is AttackKind.TAMPER_INTEGRITY_LEVEL:
-        target = str(p["target"])
-        new_level = IntegrityLevel(str(p.get("new_level", "LOW")))
+        new_level = args["new_level"]
         detail["target"] = target
         if sim.mode == MODE_TRUSTTOKEN:
-            if p.get("token") == "stolen":
-                presented = sim._attack_surface[target][1]
-            else:
-                presented = 0
+            presented = sim._attack_surface[target][1] if args["stolen"] else 0
             outcome = request_integrity_transition(
                 sim.table, sim.objects[target], presented, new_level
             )
@@ -544,9 +538,7 @@ def _run_attack(sim: Simulation, attack: AttackInjection, pending) -> None:
     elif attack.kind is AttackKind.TAMPER_INTERCONNECT_SIGNAL:
         if sim.mode == MODE_TRUSTTOKEN:
             # unauthorized actor tries to rewrite the attacker app's matrix row
-            app = str(p.get("app", sim.topology.cpus[0].apps[0]))
-            target = str(p.get("target", sim.topology.wrapped_ips[0].object))
-            proc = sim.apps[app]
+            proc = sim.apps[args["app"]]
             try:
                 modify_matrix(
                     sim.model, Actor.USER, proc.owner, proc,

@@ -148,8 +148,8 @@ def authorize(table: TokenTable, txn, policy: SystemModel) -> AuthorizationOutco
     handshake and is decided by one :func:`evaluate` call, whose stages run
     in one order (unknown reference, foreign process, credentials, empty
     attribute, matrix) and fix the reason; the simulator's baseline mode
-    runs only the unknown-target and matrix stages.  A denied payload is
-    never delivered (enforced by the wrapper, which requires this outcome).
+    runs only the matrix stage.  A denied payload is never delivered
+    (enforced by the wrapper, which requires this outcome).
 
     A repeated request is answered from the table's memo of decisions
     (see :class:`TokenTable`); the first one runs the checks above.

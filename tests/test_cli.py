@@ -268,6 +268,59 @@ class TestRun:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "payload, shown",
+        # YAML reads 0012 as the octal int 10, which was sent as the one byte 10
+        [("0012", "10"), ("12", "12"), ("0x1F", "31"), ("true", "True")],
+    )
+    @pytest.mark.parametrize("attack", [False, True])
+    def test_payload_that_is_not_a_string_exits_1(self, tmp_path, capsys, payload, shown, attack):
+        text = bundled_config("smoke.cfg").read_text()
+        if attack:
+            text += ("  - {cycle: 5, type: attack, kind: cross_ip_access, app: app1, target: aes,"
+                     f" payload: {payload}}}\n")
+        else:
+            text = text.replace('payload: "00ff"', f"payload: {payload}")
+        cfg = tmp_path / "payload.cfg"
+        cfg.write_text(text)
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            f"error: script entry {int(attack)}: payload must be a quoted hex string, got {shown}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_quoted_payload_is_read_as_hex(self, tmp_path):
+        cfg = tmp_path / "payload.cfg"
+        cfg.write_text(bundled_config("smoke.cfg").read_text().replace('"00ff"', '"0012"'))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+        response = (tmp_path / "o" / "events.log").read_text().splitlines()[-1].split("\t")
+        assert response[2:] == ["response", '{"bytes": "a584", "to": "app1"}']
+
+    @pytest.mark.parametrize("access, flag", [("q", "'q' in 'q'"), ("7", "'7' in '7'"),
+                                              ("rq", "'q' in 'rq'")])
+    @pytest.mark.parametrize("key, attack", [("access", False), ("access", True),
+                                             ("attribute", True)])
+    def test_unknown_access_flag_names_its_entry(self, tmp_path, capsys, access, flag, key, attack):
+        text = bundled_config("smoke.cfg").read_text()
+        if attack:
+            text += ("  - {cycle: 5, type: attack, kind: forge_token, app: app1, target: aes,"
+                     f" {key}: {access}}}\n")
+        else:
+            text = text.replace("access: rwe", f"access: {access}")
+        cfg = tmp_path / "flag.cfg"
+        cfg.write_text(text)
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            f"error: script entry {int(attack)}: unknown access flag {flag}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_entry_type_names_its_entry(self, tmp_path, capsys):
+        cfg = tmp_path / "type.cfg"
+        cfg.write_text(bundled_config("smoke.cfg").read_text() + "  - {cycle: 5, type: probe}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == "error: script entry 1: unknown script entry type 'probe'\n"
+
     def test_responses_are_logged_in_cycle_order(self, tmp_path):
         # the HIGH access's response (cost 2) is due after the LOW one's
         # (cost 1) although it was granted first in the same cycle

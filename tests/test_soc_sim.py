@@ -28,7 +28,6 @@ from trusttoken.soc_sim import (
     ReprovisionEvent,
     Topology,
     TransactionIntent,
-    _execute_txn,
     build,
     report,
     run,
@@ -384,6 +383,9 @@ class TestAttackChecks:
             # payloads that are not bytes
             (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "payload": "abc"}),
             (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "payload": 5}),
+            # the kinds that send no access of their own still check both
+            (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "attribute": "r"}),
+            (AttackKind.TAMPER_INTEGRITY_LEVEL, {"target": "rsa", "payload": "abc"}),
         ],
     )
     def test_rejected_before_the_run(self, kind, params):
@@ -459,6 +461,13 @@ class TestAttackChecks:
         with pytest.raises(ConfigurationError):
             run(build(topology, 3), [attack], 100)
 
+    def test_replay_without_access_bits_is_denied_malformed(self):
+        # only a script access and a cross-IP attack need an access bit
+        attack = AttackInjection(AttackKind.REPLAY_STALE_TOKEN, 10,
+                                 {"app": "app4", "target": "rsa", "attribute": AccessAttribute.NONE})
+        summary = report(run(build(paper_topology(), 3), [attack], 100))
+        assert dict(summary.denials_by_reason) == {"malformed": 1}
+
     def test_cross_ip_access_to_unknown_names_is_denied(self):
         attack = AttackInjection(AttackKind.CROSS_IP_ACCESS, 10, {"app": "ghost", "target": "rsa"})
         summary = report(run(build(paper_topology(), 3), [attack], 100))
@@ -503,19 +512,6 @@ class TestReport:
     def test_cost_histogram(self):
         log = run(build(paper_topology(), 3), benign_script(), 100)
         assert dict(report(log).cycle_cost_histogram) == {2: 5}
-
-
-class TestUnknownTargetId:
-    @pytest.mark.parametrize("mode, cost", [("trusttoken", 2), (MODE_BASELINE, 1)])
-    @pytest.mark.parametrize("target", [-1, 4])
-    def test_denied_malformed_without_indexing(self, mode, cost, target):
-        # a negative id must not reach a name or wrapper from the end of a tuple
-        sim = build(paper_topology(), 3, mode=mode)
-        txn = WrappedTransaction(sim.apps["app1"], target, R, b"", sim.wrappers[0].sideband, 1)
-        assert not _execute_txn(sim, "app1", txn, [])
-        assert records(sim.log)[-1].detail == {
-            "target": "?", "source": "app1", "reason": "malformed", "cost": cost}
-        assert sim.wrappers[0].stub_invocations == 0
 
 
 # Text with the characters JSON must escape: quotes, backslashes, control
@@ -616,6 +612,18 @@ _other = st.one_of(
       for kind, params in _attack_params.items()),
 )
 _entry = st.booleans().flatmap(lambda access: _access if access else _other)  # half accesses
+_levels = st.lists(st.sampled_from(IntegrityLevel), min_size=4, max_size=4)
+
+
+def leveled_topology(levels):
+    """The paper topology with the i-th wrapped IP at levels[i]."""
+    topology = paper_topology()
+    return Topology(
+        cpus=topology.cpus,
+        wrapped_ips=tuple(IpSpec(ip.stub, ip.object, level)
+                          for ip, level in zip(topology.wrapped_ips, levels)),
+        app_to_ip=topology.app_to_ip,
+    )
 
 
 class TestLiveCounters:
@@ -628,18 +636,11 @@ class TestLiveCounters:
     @given(
         script=st.lists(_entry, min_size=8, max_size=40),
         mode=st.sampled_from(MODES),
-        levels=st.lists(st.sampled_from(IntegrityLevel), min_size=4, max_size=4),
+        levels=_levels,
         seed=st.integers(0, 2**16),
     )
     @settings(deadline=None)  # max_examples from the profile: 100 by default
     def test_random_scripts_match_the_scanning_report(self, script, mode, levels, seed):
-        topology = paper_topology()
-        topology = Topology(
-            cpus=topology.cpus,
-            wrapped_ips=tuple(IpSpec(ip.stub, ip.object, level)
-                              for ip, level in zip(topology.wrapped_ips, levels)),
-            app_to_ip=topology.app_to_ip,
-        )
         # every outcome either mode decides or a transition returns costs 1 or 2 cycles
         outcomes = []
 
@@ -649,7 +650,7 @@ class TestLiveCounters:
                 return outcomes[-1]
             return call
 
-        sim = build(topology, seed, mode=mode)
+        sim = build(leveled_topology(levels), seed, mode=mode)
         sim._authorize = recorded(sim._authorize)
         with mock.patch.object(soc_sim, "request_integrity_transition",
                                recorded(soc_sim.request_integrity_transition)):
@@ -658,3 +659,64 @@ class TestLiveCounters:
         assert report(log) == log_oracle.report(log)
         cycles = [r.cycle for r in records(log)]
         assert cycles == sorted(cycles)
+
+
+# The params every attack may leave out, at the defaults the README gives:
+# a read, no payload, bit 0, a LOW level; an interconnect tamper's app and
+# target default to the paper topology's first CPU's first app and first IP.
+_DEFAULTS = {"attribute": R, "payload": b"", "flip_bit": 0, "new_level": "LOW"}
+_OPTIONAL = {kind: _DEFAULTS for kind in AttackKind}
+_OPTIONAL[AttackKind.TAMPER_INTERCONNECT_SIGNAL] = {**_DEFAULTS, "app": "app1", "target": "aes"}
+
+
+class TestAttackDefaults:
+    @given(
+        script=st.lists(_entry, max_size=10),
+        # one attack of each kind, each with every param given
+        attacks=st.tuples(*(st.builds(AttackInjection, st.just(kind), _cycle, params)
+                            for kind, params in _attack_params.items())),
+        mode=st.sampled_from(MODES),
+        levels=_levels,
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(deadline=None)  # max_examples from the profile: 100 by default
+    def test_an_omitted_param_runs_as_its_default(self, script, attacks, mode, levels, seed,
+                                                  data):
+        # each attack leaves a drawn set of its optional params out in one
+        # script and gives them at their defaults in the other
+        omitted, written = [], []
+        for entry in script + list(attacks):
+            if isinstance(entry, AttackInjection):
+                defaults = _OPTIONAL[entry.kind]
+                keys = data.draw(st.sets(st.sampled_from(sorted(defaults))), label=entry.kind.value)
+                params = {k: v for k, v in entry.params.items() if k not in keys}
+                omitted.append(AttackInjection(entry.kind, entry.cycle, params))
+                entry = AttackInjection(entry.kind, entry.cycle,
+                                        {**params, **{k: defaults[k] for k in keys}})
+            else:
+                omitted.append(entry)
+            written.append(entry)
+        assert self.trace(omitted, mode, levels, seed) == self.trace(written, mode, levels, seed)
+
+    @staticmethod
+    def trace(script, mode, levels, seed):
+        """The run's events.log lines but its attack_fired ones, which
+        record the params as given, and the calls it makes to decide a
+        transaction, a transition or a matrix write, with the values an
+        attack param sets (access kind, sideband, payload, level, row)."""
+        calls = []
+
+        def recorded(decide, skip):
+            def call(*args):
+                calls.append(args[skip:])  # without the table or model, which differ per run
+                return decide(*args)
+            return call
+
+        sim = build(leveled_topology(levels), seed, mode=mode)
+        sim._authorize = recorded(sim._authorize, 0)
+        with (mock.patch.object(soc_sim, "request_integrity_transition",
+                                recorded(soc_sim.request_integrity_transition, 1)),
+              mock.patch.object(soc_sim, "modify_matrix", recorded(soc_sim.modify_matrix, 1))):
+            text = run(sim, script, 25).to_text()
+        return [line for line in text.splitlines() if line.split("\t")[2] != "attack_fired"], calls
