@@ -14,6 +14,7 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ConfigurationError, MatrixTamperError, SimulationFault
@@ -44,6 +45,7 @@ MODES = (MODE_TRUSTTOKEN, MODE_BASELINE)
 FULL_ACCESS = AccessAttribute.READ | AccessAttribute.WRITE | AccessAttribute.EXECUTE
 
 _encode_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses
+_CHUNK = 4096  # event-log lines joined into one chunk string
 
 
 # --------------------------------------------------------------------------
@@ -138,6 +140,12 @@ class ReprovisionEvent:
 ScriptEntry = Union[TransactionIntent, AttackInjection, ReprovisionEvent]
 
 
+class _ArmedAttack(NamedTuple):  # an attack as run's pre-pass keeps it, with its args
+    cycle: int
+    attack: AttackInjection
+    args: dict
+
+
 # --------------------------------------------------------------------------
 # event log
 
@@ -151,10 +159,13 @@ class EventLog:
     ``json.dumps(detail, sort_keys=True)``.  The hot kinds (issue, grant,
     deny, response) have fixed writers that build that text with one
     f-string, keys in sorted order; the rare kinds go through
-    :meth:`append`."""
+    :meth:`append`.  Every ``_CHUNK`` lines are joined into one str, so the
+    log holds its text about once, not as one str per line."""
 
     def __init__(self):
-        self._lines: list[str] = []
+        self._chunks: list[str] = []  # joined runs of lines, oldest first
+        self._tail: list[str] = []  # the lines after the last chunk, fewer than _CHUNK
+        self._events = 0
         self._cycle = 0
         self._counts: dict[str, int] = {}  # events per kind, transitions per outcome
         self._reasons: dict[str, int] = {}  # denies and denied transitions per reason
@@ -162,10 +173,15 @@ class EventLog:
 
     def _record(self, cycle: int, kind: str, line: str, cost=None, reason=None) -> None:
         """Add one line and update the counters; every writer ends here."""
-        if self._lines and cycle < self._cycle:
+        if self._events and cycle < self._cycle:
             raise SimulationFault("event log cycles must be non-decreasing")
         self._cycle = cycle
-        self._lines.append(line)
+        self._events += 1
+        tail = self._tail
+        tail.append(line)
+        if len(tail) == _CHUNK:
+            self._chunks.append("".join(tail))
+            tail.clear()
         self._counts[kind] = self._counts.get(kind, 0) + 1
         if cost is not None:
             self._costs[cost] = self._costs.get(cost, 0) + 1
@@ -217,10 +233,15 @@ class EventLog:
         ))
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return self._events
 
     def to_text(self) -> str:
-        return "".join(self._lines)
+        # kept as the only chunk, so the old chunks are freed before a caller encodes it
+        if self._tail:
+            self._chunks.append("".join(self._tail))
+            self._tail.clear()
+        self._chunks = ["".join(self._chunks)]
+        return self._chunks[0]
 
 
 # --------------------------------------------------------------------------
@@ -354,7 +375,7 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
     sim.ran = True
     if not _is_count(max_cycles):
         raise ConfigurationError(f"max_cycles must be an integer >= 0, got {max_cycles!r}")
-    entries = []  # (entry, its resolved attack args or None) for each entry run
+    entries = []  # each entry run; an attack as an _ArmedAttack with its resolved args
     for i, entry in enumerate(script):
         try:
             if not isinstance(entry, (TransactionIntent, AttackInjection, ReprovisionEvent)):
@@ -367,8 +388,8 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
         except ConfigurationError as exc:
             raise ConfigurationError(f"script entry {i}: {exc}") from exc
         if entry.cycle < max_cycles:
-            entries.append((entry, args))
-    entries.sort(key=lambda pair: pair[0].cycle)  # stable: script order within a cycle
+            entries.append(entry if args is None else _ArmedAttack(entry.cycle, entry, args))
+    entries.sort(key=attrgetter("cycle"))  # stable: script order within a cycle
     # deferred response records (due cycle, FIFO tie-break, actor, (to, hex)), sorted
     pending: list[tuple[int, int, str, tuple[str, str]]] = []
 
@@ -378,7 +399,7 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
             sim.log.response(when, actor, to, hex_bytes)
         del pending[:due]
 
-    for entry, args in entries:
+    for entry in entries:
         cycle = entry.cycle
         flush(cycle)
         sim.cycle = cycle
@@ -389,7 +410,7 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
             sim._provision(initial=False)
             sim.log.append(cycle, "controller", "reprovision", epoch=sim.epoch)
         else:
-            _run_attack(sim, entry, args, pending)
+            _run_attack(sim, entry.attack, entry.args, pending)
     flush(max_cycles)
     return sim.log
 
@@ -444,22 +465,32 @@ def _check_access(app, target, attribute, payload, what: str) -> None:
         raise ConfigurationError("an access needs at least one access bit")
 
 
+# the params each attack kind reads; an integrity tamper's signal is only logged
+_ATTACK_PARAMS = {
+    AttackKind.FORGE_TOKEN: {"app", "target", "attribute", "flip_bit"},
+    AttackKind.REPLAY_STALE_TOKEN: {"app", "target", "attribute"},
+    AttackKind.CROSS_IP_ACCESS: {"app", "target", "attribute", "payload"},
+    AttackKind.TAMPER_INTEGRITY_LEVEL: {"target", "new_level", "token", "signal"},
+    AttackKind.TAMPER_INTERCONNECT_SIGNAL: {"app", "target"},
+}
+
+
 def _check_attack(sim: Simulation, attack: AttackInjection) -> dict:
     """Check an attack and return its args with every default filled in:
     app (absent on tamper_integrity_level) and target as str, attribute,
     payload, flip_bit, new_level as an IntegrityLevel, and stolen (its
     token is "stolen").  An interconnect tamper's app and target default
     to the first CPU's first app and the first wrapped IP.  Reject a param
-    key that is not a str or that its attack_fired record has, a missing
-    or unknown app or target (a cross-IP access is checked as a script
-    access is), an attribute or payload of the wrong type, a flip_bit that
-    is not an int in 0..255, or an unknown new_level.  Forge and replay
-    may send an empty attribute, which ``evaluate`` denies."""
+    its kind does not read (see _ATTACK_PARAMS), a missing or unknown app
+    or target (a cross-IP access is checked as a script access is), an
+    attribute or payload of the wrong type, a flip_bit that is not an int
+    in 0..255, or an unknown new_level.  Forge and replay may send an
+    empty attribute, which ``evaluate`` denies."""
     p = attack.params
     what = f"{attack.kind.value} attack"
     for key in p:
-        if not isinstance(key, str) or key in ("attack", "actor", "cycle", "kind"):
-            raise ConfigurationError(f"{what} has reserved or non-string param {key!r}")
+        if key not in _ATTACK_PARAMS[attack.kind]:
+            raise ConfigurationError(f"{what} does not take {key!r}")
     names = {"app": None, "target": None}
     if attack.kind is AttackKind.TAMPER_INTERCONNECT_SIGNAL:
         names = {"app": next(iter(sim.topology.cpus[0].apps), None),
@@ -492,9 +523,10 @@ def _check_attack(sim: Simulation, attack: AttackInjection) -> dict:
 
 
 def _run_attack(sim: Simulation, attack: AttackInjection, args: dict, pending) -> None:
-    sim.log.append(
-        sim.cycle, "attacker", "attack_fired",
-        attack=attack.kind.value, **{k: str(v) for k, v in attack.params.items()},
+    sim.log.append(  # an attribute as its int: str() of an IntFlag differs by Python version
+        sim.cycle, "attacker", "attack_fired", attack=attack.kind.value,
+        **{k: str(int(v) if isinstance(v, AccessAttribute) else v)
+           for k, v in attack.params.items()},
     )
     blocked = False
     detail: dict = {"attack": attack.kind.value}

@@ -164,9 +164,31 @@ class TestRun:
             + f"  - {{cycle: 5, type: attack, kind: forge_token, app: app1, target: aes, {extra}}}\n"
         )
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: script entry 1: forge_token attack does not take {key}\n"
+
+    @pytest.mark.parametrize(
+        "attack, key",
+        [
+            ("kind: replay_stale_token, app: app1, target: aes, payload: \"00ff\"", "payload"),
+            ("kind: forge_token, app: app1, target: aes, payload: \"00ff\"", "payload"),
+            ("kind: cross_ip_access, app: app1, target: aes, flip_bit: 3", "flip_bit"),
+            ("kind: tamper_integrity_level, target: aes, access: r", "attribute"),
+            ("kind: tamper_interconnect_signal, app: app1, new_level: LOW", "new_level"),
+        ],
+        ids=["replay-payload", "forge-payload", "cross-ip-flip_bit", "integrity-access",
+             "interconnect-new_level"],
+    )
+    def test_attack_param_its_kind_does_not_read_exits_1(self, tmp_path, capsys, attack, key):
+        # an access: is checked as the attribute it becomes
+        cfg = tmp_path / "param.cfg"
+        cfg.write_text(bundled_config("smoke.cfg").read_text()
+                       + f"  - {{cycle: 5, type: attack, {attack}}}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        kind = attack.split(",")[0].removeprefix("kind: ")
         assert capsys.readouterr().err == (
-            f"error: script entry 1: forge_token attack has reserved or non-string param {key}\n"
+            f"error: script entry 1: {kind} attack does not take '{key}'\n"
         )
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "old, new",

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import log_oracle
@@ -355,6 +356,18 @@ class TestForgeAndReplay:
         assert summary.grants == 2 and summary.denies == 0
 
 
+# the params each attack kind reads, and a valid value for each param any kind reads
+_READS = {
+    AttackKind.FORGE_TOKEN: {"app", "target", "attribute", "flip_bit"},
+    AttackKind.REPLAY_STALE_TOKEN: {"app", "target", "attribute"},
+    AttackKind.CROSS_IP_ACCESS: {"app", "target", "attribute", "payload"},
+    AttackKind.TAMPER_INTEGRITY_LEVEL: {"target", "new_level", "token", "signal"},
+    AttackKind.TAMPER_INTERCONNECT_SIGNAL: {"app", "target"},
+}
+_VALID_PARAM = {"app": "app4", "target": "rsa", "attribute": R, "payload": b"\x00\xff",
+                "flip_bit": 3, "new_level": "LOW", "token": "stolen", "signal": "AWPROT"}
+
+
 class TestAttackChecks:
     @pytest.mark.parametrize(
         "kind, params",
@@ -367,7 +380,7 @@ class TestAttackChecks:
             (AttackKind.TAMPER_INTERCONNECT_SIGNAL, {"target": "ghost"}),
             (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "attribute": "r"}),
             (AttackKind.CROSS_IP_ACCESS, {"app": "app3"}),
-            # keys the attack_fired record cannot take
+            # keys the attack_fired record cannot take, which no kind reads
             (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "attack": "x"}),
             (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "actor": "x"}),
             (AttackKind.REPLAY_STALE_TOKEN, {"app": "app4", "target": "rsa", "cycle": 3}),
@@ -383,7 +396,8 @@ class TestAttackChecks:
             # payloads that are not bytes
             (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "payload": "abc"}),
             (AttackKind.CROSS_IP_ACCESS, {"app": "app3", "target": "rsa", "payload": 5}),
-            # the kinds that send no access of their own still check both
+            # a forge reads its attribute, so it is type-checked; an integrity
+            # tamper takes no payload at all
             (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "attribute": "r"}),
             (AttackKind.TAMPER_INTEGRITY_LEVEL, {"target": "rsa", "payload": "abc"}),
         ],
@@ -394,6 +408,35 @@ class TestAttackChecks:
         with pytest.raises(ConfigurationError):
             run(sim, benign_script() + [AttackInjection(kind, 200, params)], 100)
         assert len(sim.log) == 0
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [(kind, key) for kind in AttackKind for key in sorted(_VALID_PARAM)
+         if key not in _READS[kind]],
+        ids=lambda value: getattr(value, "value", value),
+    )
+    def test_param_its_kind_does_not_read_rejected(self, kind, key):
+        # a valid value that the kind would drop: a replay's payload is never sent
+        params = {k: _VALID_PARAM[k] for k in ("app", "target") if k in _READS[kind]}
+        params[key] = _VALID_PARAM[key]
+        sim = build(paper_topology(), 3)
+        with pytest.raises(ConfigurationError,
+                           match=f"^script entry 5: {kind.value} attack does not take '{key}'$"):
+            run(sim, benign_script() + [AttackInjection(kind, 10, params)], 100)
+        assert len(sim.log) == 0
+
+    @pytest.mark.parametrize("value", range(8))
+    def test_attack_fired_writes_an_attribute_as_its_int(self, value, monkeypatch):
+        # Python 3.10's str() of an IntFlag member; 3.11 gives the int
+        monkeypatch.setattr(AccessAttribute, "__str__",
+                            lambda self: f"AccessAttribute.{self.name}")
+        attack = AttackInjection(AttackKind.FORGE_TOKEN, 10,
+                                 {"app": "app4", "target": "rsa", "attribute": AccessAttribute(value)})
+        text = run(build(paper_topology(), 3), [attack], 100).to_text()
+        assert text.startswith(
+            '10\tattacker\tattack_fired\t{"app": "app4", "attack": "forge_token", '
+            f'"attribute": "{value}", "target": "rsa"}}\n'
+        )
 
     @pytest.mark.parametrize(
         "entry, message",
@@ -567,6 +610,59 @@ class TestEventLine:
         assert log.to_text() == "".join(lines)
         assert report(log) == log_oracle.report(log)
 
+    def test_log_is_the_same_across_chunk_boundaries(self):
+        records = [
+            ("issue", "app1", {"target": "aes"}),
+            ("grant", "controller", {"target": "aes", "source": "app1", "cost": 2}),
+            ("deny", "controller", {"target": "rsa", "source": "app3", "reason": "matrix_deny",
+                                    "cost": 1}),
+            ("response", "aes", {"to": "app1", "bytes": "00ff"}),
+            ("transition", "controller", {"target": "rsa", "to": "LOW", "status": "denied",
+                                          "reason": "unauthenticated"}),
+        ]
+        log = EventLog()
+        lines = []
+        for i in range(2 * soc_sim._CHUNK + 123):  # more than two chunks' worth
+            kind, actor, detail = records[i % len(records)]
+            cycle = i // 3
+            if kind in _WRITERS:
+                _WRITERS[kind](log, cycle, actor, detail)
+            else:
+                log.append(cycle, actor, kind, **detail)
+            lines.append(f"{cycle}\t{actor}\t{kind}\t" + json.dumps(detail, sort_keys=True) + "\n")
+        text = log.to_text()
+        assert text == "".join(lines)
+        assert len(log) == len(lines)
+        assert log.to_text() == text
+        assert report(log) == log_oracle.report(log)
+        # a write after to_text still appends, and the cycles still may not decrease
+        log.issue(cycle, "app2", "des")
+        assert log.to_text() == text + f'{cycle}\tapp2\tissue\t{{"target": "des"}}\n'
+        assert len(log) == len(lines) + 1
+        with pytest.raises(SimulationFault):
+            log.issue(cycle - 1, "app2", "des")
+
+    def test_cycle_regression_right_after_a_chunk_is_joined_raises(self):
+        log = EventLog()
+        for _ in range(soc_sim._CHUNK):  # exactly one chunk: no line is left unjoined
+            log.issue(5, "app1", "aes")
+        with pytest.raises(SimulationFault):
+            log.issue(4, "app1", "aes")
+        assert len(log) == soc_sim._CHUNK
+
+    def test_log_holds_its_text_about_once(self):
+        # one str per line would hold each ~36-byte line beside a 49-byte header
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = EventLog()
+            for cycle in range(50_000):
+                log.issue(cycle, "app1", "aes")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * len(log.to_text())
+
 
 def _run_config(name, mode):
     config = load_config(bundled_config(name))
@@ -661,12 +757,17 @@ class TestLiveCounters:
         assert cycles == sorted(cycles)
 
 
-# The params every attack may leave out, at the defaults the README gives:
-# a read, no payload, bit 0, a LOW level; an interconnect tamper's app and
-# target default to the paper topology's first CPU's first app and first IP.
-_DEFAULTS = {"attribute": R, "payload": b"", "flip_bit": 0, "new_level": "LOW"}
-_OPTIONAL = {kind: _DEFAULTS for kind in AttackKind}
-_OPTIONAL[AttackKind.TAMPER_INTERCONNECT_SIGNAL] = {**_DEFAULTS, "app": "app1", "target": "aes"}
+# The params each attack may leave out, of those its kind reads, at the
+# defaults the README gives: a read, no payload, bit 0, a LOW level; an
+# interconnect tamper's app and target default to the paper topology's
+# first CPU's first app and first IP.
+_OPTIONAL = {
+    AttackKind.FORGE_TOKEN: {"attribute": R, "flip_bit": 0},
+    AttackKind.REPLAY_STALE_TOKEN: {"attribute": R},
+    AttackKind.CROSS_IP_ACCESS: {"attribute": R, "payload": b""},
+    AttackKind.TAMPER_INTEGRITY_LEVEL: {"new_level": "LOW"},
+    AttackKind.TAMPER_INTERCONNECT_SIGNAL: {"app": "app1", "target": "aes"},
+}
 
 
 class TestAttackDefaults:
