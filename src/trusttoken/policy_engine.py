@@ -217,9 +217,9 @@ def evaluate(model: SystemModel, request: AccessRequest, credentials) -> Optiona
     reason or None, as a ``TokenTable`` does.  Stages run in one fixed
     order, part of the observable reason contract: unknown reference,
     foreign process, credentials (MALFORMED for an unprovisioned object),
-    empty attribute, matrix rule (``covers``).  ``authorize`` runs all of
-    them on every HIGH target; the simulator's baseline mode runs only the
-    matrix rule.
+    empty attribute, matrix rule (``covers``).  Both simulator modes decide
+    through it unless a pass-through applies: a LOW target in ``authorize``,
+    a set bypass flag in baseline mode, whose view checks no credentials.
     """
     if not model.knows(request.user, request.process, request.object):
         return DenialReason.MALFORMED

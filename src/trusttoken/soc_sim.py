@@ -21,12 +21,14 @@ from .errors import ConfigurationError, MatrixTamperError, SimulationFault
 from .policy_engine import (
     AccessAttribute,
     AccessMatrix,
+    AccessRequest,
     Actor,
     DenialReason,
     IntegrityLevel,
     ProcessId,
     SystemModel,
     build_system,
+    evaluate,
     modify_matrix,
 )
 from .puf_model import PufParams, new_chip
@@ -325,20 +327,23 @@ class Simulation:
     # -- authorization paths ----------------------------------------------
 
     def _authorize(self, txn: WrappedTransaction) -> AuthorizationOutcome:
-        """Decide one transaction: ``authorize`` in trusttoken mode, which
-        runs every ``evaluate`` stage (unknown reference, foreign process,
-        credentials, empty attribute, matrix) on HIGH targets, and answers
-        a repeated request from the table's memo.  The uncached token-free
-        baseline runs a subset, all at cycle cost 1: the bypass flags
+        """Decide one transaction: ``authorize`` in trusttoken mode (a LOW
+        target passes, a repeat is memoized).  The uncached token-free
+        baseline, at cycle cost 1, grants when a bypass flag is set
         (interconnect check disabled, or the target's protection signal
-        cleared) -> grant; then the shared matrix rule
-        ``SystemModel.covers`` -> MATRIX_DENY."""
+        cleared); otherwise both modes decide by ``evaluate``'s stages."""
         if self.mode == MODE_TRUSTTOKEN:
             return authorize(self.table, txn, self.model)
-        bypassed = not self._baseline_check_enabled or not self._baseline_secure[txn.target]
-        if bypassed or self.model.covers(txn.source, txn.target, txn.kind):
+        if not self._baseline_check_enabled or not self._baseline_secure[txn.target]:
             return AuthorizationOutcome(True, 1, serial=txn.serial)
-        return AuthorizationOutcome(False, 1, DenialReason.MATRIX_DENY, serial=txn.serial)
+        request = AccessRequest(txn.source.owner, txn.source, txn.target, None, None, txn.kind)
+        reason = evaluate(self.model, request, _NoTokens)
+        return AuthorizationOutcome(reason is None, 1, reason, txn.serial)
+
+
+class _NoTokens:
+    """Baseline mode's credentials view: it holds no tokens, so it denies nothing."""
+    check_credentials = staticmethod(lambda obj, ip_id, token: None)
 
 
 def _is_count(value) -> bool:
@@ -484,8 +489,8 @@ def _check_attack(sim: Simulation, attack: AttackInjection) -> dict:
     its kind does not read (see _ATTACK_PARAMS), a missing or unknown app
     or target (a cross-IP access is checked as a script access is), an
     attribute or payload of the wrong type, a flip_bit that is not an int
-    in 0..255, or an unknown new_level.  Forge and replay may send an
-    empty attribute, which ``evaluate`` denies."""
+    in 0..255, an unknown new_level, or a token but "none" or "stolen".
+    Forge and replay may send an empty attribute (see ``evaluate``)."""
     p = attack.params
     what = f"{attack.kind.value} attack"
     for key in p:
@@ -518,8 +523,11 @@ def _check_attack(sim: Simulation, attack: AttackInjection) -> dict:
         new_level = IntegrityLevel(str(p.get("new_level", "LOW")))
     except ValueError:
         raise ConfigurationError(f"{what} has unknown new_level {p['new_level']!r}") from None
+    token = p.get("token", "none")
+    if token not in ("none", "stolen"):
+        raise ConfigurationError(f"{what} has unknown token {token!r}, expected 'none' or 'stolen'")
     return dict(names, attribute=attribute, payload=payload, flip_bit=flip_bit,
-                new_level=new_level, stolen=p.get("token") == "stolen")
+                new_level=new_level, stolen=token == "stolen")
 
 
 def _run_attack(sim: Simulation, attack: AttackInjection, args: dict, pending) -> None:
@@ -552,20 +560,16 @@ def _run_attack(sim: Simulation, attack: AttackInjection, args: dict, pending) -
             outcome = request_integrity_transition(
                 sim.table, sim.objects[target], presented, new_level
             )
-            sim.log.append(
-                sim.cycle, "controller", "transition",
-                target=target, to=new_level.value,
-                status="granted" if outcome.granted else "denied",
-                **({} if outcome.granted else {"reason": outcome.reason.value}),
-            )
-            blocked = not outcome.granted
         else:
             sim._baseline_secure[sim.objects[target]] = new_level is IntegrityLevel.HIGH
-            sim.log.append(
-                sim.cycle, "interconnect", "transition",
-                target=target, to=new_level.value, status="granted",
-            )
-            blocked = False
+            outcome = AuthorizationOutcome(True, 1)
+        sim.log.append(
+            sim.cycle, "controller" if sim.mode == MODE_TRUSTTOKEN else "interconnect",
+            "transition", target=target, to=new_level.value,
+            status="granted" if outcome.granted else "denied",
+            **({} if outcome.granted else {"reason": outcome.reason.value}),
+        )
+        blocked = not outcome.granted
 
     elif attack.kind is AttackKind.TAMPER_INTERCONNECT_SIGNAL:
         if sim.mode == MODE_TRUSTTOKEN:
@@ -581,7 +585,6 @@ def _run_attack(sim: Simulation, attack: AttackInjection, args: dict, pending) -
                 blocked = True
         else:
             sim._baseline_check_enabled = False
-            blocked = False
 
     else:  # pragma: no cover - enum is closed
         raise SimulationFault(f"unhandled attack kind {attack.kind}")

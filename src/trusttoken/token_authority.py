@@ -143,12 +143,12 @@ def provision(
 def authorize(table: TokenTable, txn, policy: SystemModel) -> AuthorizationOutcome:
     """Authorize one wrapped transaction.
 
-    An unprovisioned target is MALFORMED.  LOW-integrity targets pass
-    through unchecked at cycle cost 1.  Every HIGH target pays the 2-cycle
-    handshake and is decided by one :func:`evaluate` call, whose stages run
-    in one order (unknown reference, foreign process, credentials, empty
-    attribute, matrix) and fix the reason; the simulator's baseline mode
-    runs only the matrix stage.  A denied payload is never delivered
+    A provisioned LOW-integrity target passes through unchecked at cycle
+    cost 1.  Every other target pays the 2-cycle handshake and is decided
+    by one :func:`evaluate` call, whose stages run in one order (unknown
+    reference, foreign process, credentials, empty attribute, matrix) and
+    fix the reason; its unknown-reference or credentials stage denies an
+    unprovisioned target MALFORMED.  A denied payload is never delivered
     (enforced by the wrapper, which requires this outcome).
 
     A repeated request is answered from the table's memo of decisions
@@ -162,9 +162,8 @@ def authorize(table: TokenTable, txn, policy: SystemModel) -> AuthorizationOutco
     key = (txn.source, target, txn.kind, sideband.ar_token, sideband.ar_id)
     decision = table._decisions.get(key)
     if decision is None:
-        if target not in table:
-            decision = (False, 2, DenialReason.MALFORMED)
-        elif lookup_integrity(table, target) is IntegrityLevel.LOW:
+        entry = table._entries.get(target)
+        if entry is not None and entry.integrity is IntegrityLevel.LOW:
             decision = (True, 1, None)
         else:
             request = AccessRequest(
@@ -189,9 +188,9 @@ def request_integrity_transition(
 ) -> AuthorizationOutcome:
     """Change an IP's integrity level; requires the IP's own token.  A
     granted transition clears the memo of decisions."""
-    if obj not in table:
+    entry = table._entries.get(obj)
+    if entry is None:
         return AuthorizationOutcome(False, 2, DenialReason.MALFORMED)
-    entry = table._require(obj)
     if presented_token != entry.token:
         return AuthorizationOutcome(False, 2, DenialReason.TOKEN_MISMATCH)
     entry.integrity = new_level

@@ -154,6 +154,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == "error: script entry 1: tamper_integrity_level attack names unknown target 'ghost'\n"
 
+    @pytest.mark.parametrize("token, shown", [("stolne", "'stolne'"), ("Stolen", "'Stolen'"),
+                                              ("null", "None")])
+    def test_integrity_attack_with_unknown_token_exits_1(self, tmp_path, capsys, token, shown):
+        cfg = tmp_path / "token.cfg"
+        cfg.write_text(
+            bundled_config("smoke.cfg").read_text()
+            + f"  - {{cycle: 5, type: attack, kind: tamper_integrity_level, target: aes, token: {token}}}\n"
+        )
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            f"error: script entry 1: tamper_integrity_level attack has unknown token {shown}, "
+            "expected 'none' or 'stolen'\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "extra, key", [("attack: forge_token", "'attack'"), ("actor: mallory", "'actor'"), ("1: x", "1")]
     )

@@ -33,7 +33,7 @@ from trusttoken.soc_sim import (
     report,
     run,
 )
-from trusttoken.token_authority import AuthorizationOutcome
+from trusttoken.token_authority import AuthorizationOutcome, lookup_integrity
 from trusttoken.trust_wrapper import SidebandSignals, WrappedTransaction
 
 R = AccessAttribute.READ
@@ -400,6 +400,10 @@ class TestAttackChecks:
             # tamper takes no payload at all
             (AttackKind.FORGE_TOKEN, {"app": "app4", "target": "rsa", "attribute": "r"}),
             (AttackKind.TAMPER_INTEGRITY_LEVEL, {"target": "rsa", "payload": "abc"}),
+            # a token typo must not run as an unauthenticated downgrade
+            (AttackKind.TAMPER_INTEGRITY_LEVEL, {"target": "rsa", "token": "stolne"}),
+            (AttackKind.TAMPER_INTEGRITY_LEVEL, {"target": "rsa", "token": "Stolen"}),
+            (AttackKind.TAMPER_INTEGRITY_LEVEL, {"target": "rsa", "token": None}),
         ],
     )
     def test_rejected_before_the_run(self, kind, params):
@@ -504,12 +508,20 @@ class TestAttackChecks:
         with pytest.raises(ConfigurationError):
             run(build(topology, 3), [attack], 100)
 
-    def test_replay_without_access_bits_is_denied_malformed(self):
-        # only a script access and a cross-IP attack need an access bit
-        attack = AttackInjection(AttackKind.REPLAY_STALE_TOKEN, 10,
+    @pytest.mark.parametrize("kind", [AttackKind.FORGE_TOKEN, AttackKind.REPLAY_STALE_TOKEN],
+                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_replay_without_access_bits_is_denied_malformed(self, mode, kind):
+        # only a script access and a cross-IP attack need an access bit; a
+        # trusttoken forge fails the credentials stage before the empty one
+        attack = AttackInjection(kind, 10,
                                  {"app": "app4", "target": "rsa", "attribute": AccessAttribute.NONE})
-        summary = report(run(build(paper_topology(), 3), [attack], 100))
-        assert dict(summary.denials_by_reason) == {"malformed": 1}
+        sim = build(paper_topology(), 3, mode=mode)
+        summary = report(run(sim, [attack], 100))
+        forged = mode != MODE_BASELINE and kind is AttackKind.FORGE_TOKEN
+        assert dict(summary.denials_by_reason) == {"token_mismatch" if forged else "malformed": 1}
+        assert summary.verdict == "BLOCKED"
+        assert [wrapper.stub_invocations for wrapper in sim.wrappers] == [0, 0, 0, 0]
 
     def test_cross_ip_access_to_unknown_names_is_denied(self):
         attack = AttackInjection(AttackKind.CROSS_IP_ACCESS, 10, {"app": "ghost", "target": "rsa"})
@@ -678,10 +690,15 @@ _target = st.sampled_from(OBJECTS)
 _attribute = st.sampled_from([R, AccessAttribute.WRITE, RWE])
 # spaced so that several entries share a cycle and deferred responses pile up
 _cycle = st.integers(0, 10).map(lambda c: 3 * c)
+# forge and replay may send an empty attribute; a script access may not
+_token_attribute = st.sampled_from([R, AccessAttribute.WRITE, RWE, AccessAttribute.NONE])
 _attack_params = {
-    AttackKind.FORGE_TOKEN: st.fixed_dictionaries(
-        {"app": _app, "target": _target, "flip_bit": st.integers(0, 255)}),
-    AttackKind.REPLAY_STALE_TOKEN: st.fixed_dictionaries({"app": _app, "target": _target}),
+    AttackKind.FORGE_TOKEN: st.fixed_dictionaries({
+        "app": _app, "target": _target, "attribute": _token_attribute,
+        "flip_bit": st.integers(0, 255),
+    }),
+    AttackKind.REPLAY_STALE_TOKEN: st.fixed_dictionaries(
+        {"app": _app, "target": _target, "attribute": _token_attribute}),
     AttackKind.CROSS_IP_ACCESS: st.fixed_dictionaries({
         "app": st.sampled_from(APPS + ("ghost",)),
         "target": st.sampled_from(OBJECTS + ("ghost",)),
@@ -747,7 +764,19 @@ class TestLiveCounters:
             return call
 
         sim = build(leveled_topology(levels), seed, mode=mode)
-        sim._authorize = recorded(sim._authorize)
+        authorize = recorded(sim._authorize)
+
+        def checked(txn):
+            # an empty attribute is granted only by a pass-through: a LOW
+            # target in trusttoken mode, a set bypass flag in baseline mode
+            passes = (lookup_integrity(sim.table, txn.target) is IntegrityLevel.LOW
+                      if mode != MODE_BASELINE else
+                      not sim._baseline_check_enabled or not sim._baseline_secure[txn.target])
+            outcome = authorize(txn)
+            assert not outcome.granted or txn.kind or passes, txn
+            return outcome
+
+        sim._authorize = checked
         with mock.patch.object(soc_sim, "request_integrity_transition",
                                recorded(soc_sim.request_integrity_transition)):
             log = run(sim, script, 25)

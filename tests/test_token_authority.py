@@ -159,8 +159,9 @@ class TestAuthorize:
 
 
 def test_authorize_is_evaluate_on_high_targets(chip, default_params):
-    """authorize adds only the unknown-target and LOW pass-through checks;
-    every other verdict and reason is evaluate's, at cycle cost 2."""
+    """authorize adds only the LOW pass-through; every other verdict and
+    reason, an unprovisioned target's MALFORMED included, is evaluate's,
+    at cycle cost 2."""
     levels = [IntegrityLevel.HIGH, IntegrityLevel.HIGH, IntegrityLevel.LOW, IntegrityLevel.HIGH]
     table = provision(chip, default_params, list(zip(OBJECTS, levels)), master_seed=5)
     creds = {obj: table.release_credentials(obj) for obj in OBJECTS}
