@@ -41,6 +41,22 @@ _SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SS_XSHIFT = np.uint32(16)
 _SS_POOL_SIZE = 4
 
+# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with this
+# multiplier, whose output is XSL-RR of the stepped state.  _first_draws
+# runs it on uint64 hi/lo arrays, where a product's high word comes from
+# 32-bit limbs.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _U64_MAX)
+_LIMB_LO, _LIMB_HI = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+_U32_MASK, _U64_32, _U64_1 = np.uint64(_MASK32), np.uint64(32), np.uint64(1)
+_U64_63, _U64_64, _XSL_RR_ROT = np.uint64(63), np.uint64(64), np.uint64(122 - 64)
+# Fields of one draw of numpy's ziggurat (random_standard_normal in
+# distributions.c): layer index, sign bit, 52-bit magnitude.
+_ZIG_LAYER, _ZIG_SIGN = np.uint64(0xFF), np.uint64(0x100)
+_ZIG_SHIFT, _ZIG_MAG = np.uint64(9), np.uint64(2**52 - 1)
+_ZIG_TOP_LAYER = 1  # under the apex: no rectangle part, never accepted at once
+_KI_MARGIN = 16  # units of 2**-52 kept below each layer's acceptance bound
+
 
 def _check_u64(value: int, name: str) -> int:
     if not isinstance(value, int) or not 0 <= value <= _U64_MAX:
@@ -110,17 +126,27 @@ class Response:
             raise ParameterError(f"response bits must be an int of {self.width} bits")
 
 
-def _hash_steps(const: int, mult: int):
-    """The (xor, multiply) constants of SeedSequence's successive hash steps."""
-    while True:
-        step = const * mult & _MASK32
-        yield np.uint32(const), np.uint32(step)
-        const = step
+def _hash_constants(const: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of SeedSequence's first count hash
+    steps from const, as uint32 column vectors (one row per step)."""
+    xors = []
+    for _ in range(count):
+        xors.append(const)
+        const = const * mult & _MASK32
+    muls = xors[1:] + [const]
+    return np.array(xors, dtype=np.uint32)[:, None], np.array(muls, dtype=np.uint32)[:, None]
 
 
-def _hash(value: np.ndarray, steps) -> np.ndarray:
-    xor, mul = next(steps)
-    value = (value ^ xor) * mul
+# Pool hashing takes the first _SS_POOL_SIZE steps of A and mixing the
+# next 12 (3 per source word); the 8 output words take those of B.
+_SS_HASH_A = _hash_constants(_SS_INIT_A, _SS_MULT_A, _SS_POOL_SIZE * _SS_POOL_SIZE)
+_SS_HASH_B = _hash_constants(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL_SIZE)
+
+
+def _hash(value: np.ndarray, constants, steps: slice) -> np.ndarray:
+    """value hashed by each of the given steps, one row per step."""
+    xor, mul = constants
+    value = (value ^ xor[steps]) * mul[steps]
     return value ^ (value >> _SS_XSHIFT)
 
 
@@ -137,22 +163,23 @@ def _seed_states(chip_seed: int, count: int) -> np.ndarray:
     entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
     entropy[len(words)] = np.arange(count, dtype=np.uint32)
 
-    steps = _hash_steps(_SS_INIT_A, _SS_MULT_A)
-    pool = [_hash(word, steps) for word in entropy]
+    pool = _hash(entropy, _SS_HASH_A, slice(0, _SS_POOL_SIZE))
     for src in range(_SS_POOL_SIZE):
-        for dst in range(_SS_POOL_SIZE):
-            if src != dst:
-                mixed = _SS_MIX_L * pool[dst] - _SS_MIX_R * _hash(pool[src], steps)
-                pool[dst] = mixed ^ (mixed >> _SS_XSHIFT)
-    steps = _hash_steps(_SS_INIT_B, _SS_MULT_B)
-    state = np.stack([_hash(pool[k % _SS_POOL_SIZE], steps) for k in range(8)], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+        # src's hash steps feed the other words in order; src is not changed
+        dst = [d for d in range(_SS_POOL_SIZE) if d != src]
+        first = _SS_POOL_SIZE + len(dst) * src
+        hashed = _hash(pool[src], _SS_HASH_A, slice(first, first + len(dst)))
+        mixed = _SS_MIX_L * pool[dst] - _SS_MIX_R * hashed
+        pool[dst] = mixed ^ (mixed >> _SS_XSHIFT)
+    state = _hash(np.tile(pool, (2, 1)), _SS_HASH_B, slice(None))  # row k hashes pool[k % 4]
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 @functools.cache
 def _seeded_rng():
     """words -> the Generator that default_rng builds from the seed whose
-    generate_state(4, np.uint64) is words.  Built on first use, so that
+    generate_state(4, np.uint64) is words: new_chip's exact path for a
+    draw outside the ziggurat's fast path.  Built on first use, so that
     importing this module does not import numpy.random."""
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
@@ -169,18 +196,90 @@ def _seeded_rng():
     return lambda words: Generator(PCG64(SeedWords(words)))
 
 
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """(wi, ki) of numpy's normal ziggurat: wi[idx] is layer idx's width,
+    read from the installed numpy, and a draw of layer idx whose magnitude
+    is below ki[idx] is one that numpy accepts at once (ki is kept
+    _KI_MARGIN below numpy's own bound).  numpy does not export its
+    tables, so wi[idx] is probed: with PCG64's state set so that the next
+    raw draw is 1 << 9 | idx (magnitude 1, sign +, layer idx),
+    standard_normal() returns 1 * wi[idx].  Probed on first use, so that
+    importing this module does not import numpy.random."""
+    from numpy.random import PCG64, Generator
+
+    bit_generator = PCG64(0)
+    normal = Generator(bit_generator).standard_normal
+    inverse = pow(_PCG_MULT, -1, 1 << 128)
+    wi = np.empty(256)
+    for idx in range(256):
+        # inc 1: this state steps to 1 << 9 | idx, whose high word 0 makes
+        # XSL-RR output it unchanged
+        state = ((1 << 9 | idx) - 1) * inverse % (1 << 128)
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": 1},
+                               "has_uint32": 0, "uinteger": 0}
+        wi[idx] = normal()
+    # A draw of layer idx is accepted at once when its magnitude times
+    # wi[idx] is inside the next narrower layer (layer 0, the base strip,
+    # continues at layer 255).
+    ki = np.floor(np.roll(wi, 1) / wi * 2.0**52) - _KI_MARGIN
+    ki[_ZIG_TOP_LAYER] = 0
+    ki = ki.astype(np.uint64)
+    wi.flags.writeable = ki.flags.writeable = False  # shared by every call
+    return wi, ki
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """a + b (mod 2**128), on hi/lo uint64 arrays."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * _PCG_MULT + inc (mod 2**128), on hi/lo uint64 arrays."""
+    lo_lo, lo_hi = lo & _U32_MASK, lo >> _U64_32
+    cross_a, cross_b = lo_hi * _LIMB_LO, lo_lo * _LIMB_HI
+    mid = (lo_lo * _LIMB_LO >> _U64_32) + (cross_a & _U32_MASK) + (cross_b & _U32_MASK)
+    carry = lo_hi * _LIMB_HI + (cross_a >> _U64_32) + (cross_b >> _U64_32) + (mid >> _U64_32)
+    return _add128(carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO, lo * _PCG_MULT_LO,
+                   inc_hi, inc_lo)
+
+
+def _first_draws(states: np.ndarray) -> np.ndarray:
+    """The first next_uint64 of PCG64 seeded with each row of states (as
+    from _seed_states): numpy's seeding, inc = initseq << 1 | 1 and state =
+    (inc + initstate) * MULT + inc, then one step and its XSL-RR output."""
+    init_hi, init_lo, seq_hi, seq_lo = states.T
+    inc_hi = seq_hi << _U64_1 | seq_lo >> _U64_63
+    inc_lo = seq_lo << _U64_1 | _U64_1
+    hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    mixed, rot = hi ^ lo, hi >> _XSL_RR_ROT
+    return mixed >> rot | mixed << (_U64_64 - rot & _U64_63)
+
+
 def new_chip(chip_seed: int, params: PufParams) -> ChipFingerprint:
-    """Manufacture a chip: draw each base frequency from the generator
-    default_rng([chip_seed, i]) of its oscillator i, so regeneration is
-    bit-identical.  The seed words of all oscillators come from one array
-    pass (_seed_states)."""
+    """Manufacture a chip: base frequency i is what the generator
+    default_rng([chip_seed, i]) of oscillator i draws, normal(nominal,
+    sigma), so regeneration is bit-identical.  One array pass computes
+    every oscillator's seed words (_seed_states) and first PCG64 draw
+    (_first_draws) and maps the draw as numpy's ziggurat does; the few
+    draws outside its fast path (the tail, the top layer, draws near a
+    bound) are redrawn by the oscillator's own Generator."""
     _check_u64(chip_seed, "chip_seed")
+    wi, ki = _ziggurat()
+    nominal, sigma = float(params.nominal_frequency), float(params.process_variation_sigma)
+    states = _seed_states(chip_seed, params.oscillator_count)
+    draws = _first_draws(states)
+    layer = (draws & _ZIG_LAYER).astype(np.intp)
+    magnitude = draws >> _ZIG_SHIFT & _ZIG_MAG
+    z = magnitude * wi[layer]
+    np.negative(z, out=z, where=(draws & _ZIG_SIGN).astype(bool))
+    freqs = nominal + (0.0 + sigma * z)  # numpy's normal is loc + scale * z
     seeded_rng = _seeded_rng()
-    sigma = params.process_variation_sigma
-    freqs = np.array([
-        params.nominal_frequency + seeded_rng(words).normal(0.0, sigma)
-        for words in _seed_states(chip_seed, params.oscillator_count)
-    ])
+    for i in np.flatnonzero(magnitude >= ki[layer]).tolist():
+        freqs[i] = nominal + seeded_rng(states[i]).normal(0.0, sigma)
     freqs.flags.writeable = False
     return ChipFingerprint(chip_seed=chip_seed, base_frequencies=freqs)
 

@@ -64,9 +64,6 @@ class TokenTable:
         self._decisions: dict[tuple, tuple[bool, int, Optional[DenialReason]]] = {}
         self._policy: Optional[SystemModel] = None
 
-    def __contains__(self, obj: int) -> bool:
-        return obj in self._entries
-
     def check_credentials(self, obj: int, ip_id, token) -> Optional[DenialReason]:
         if obj not in self._entries:
             return DenialReason.MALFORMED
@@ -196,7 +193,3 @@ def request_integrity_transition(
     entry.integrity = new_level
     table._decisions.clear()
     return AuthorizationOutcome(True, 2)
-
-
-def lookup_integrity(table: TokenTable, obj: int) -> IntegrityLevel:
-    return table._require(obj).integrity

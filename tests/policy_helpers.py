@@ -1,10 +1,11 @@
 """Test-side helpers for the policy engine: a dict-backed credential store
 that ``evaluate`` can check credentials against without a provisioned
-``TokenTable``, and a model's matrix lookup by user."""
+``TokenTable``, a model's matrix lookup by user, and a provisioned
+table's integrity level of an object."""
 
 from typing import Mapping, Optional
 
-from trusttoken.policy_engine import AccessMatrix, DenialReason, SystemModel
+from trusttoken.policy_engine import AccessMatrix, DenialReason, IntegrityLevel, SystemModel
 
 
 class StaticCredentialStore:
@@ -32,3 +33,10 @@ def matrix_for(model: SystemModel, user: int) -> AccessMatrix:
         if owner == user:
             return matrix
     raise KeyError(f"no matrix for {user}")
+
+
+def integrity_of(table, obj: int) -> Optional[IntegrityLevel]:
+    """The integrity level a provisioned TokenTable holds for obj, read
+    from its private entries; None when obj is not provisioned."""
+    entry = table._entries.get(obj)
+    return None if entry is None else entry.integrity

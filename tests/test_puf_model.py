@@ -22,6 +22,7 @@ from trusttoken.puf_model import (
     Response,
     _campaign_draws,
     _seed_states,
+    _ziggurat,
     challenge_pairs,
     evaluate_population,
     hamming_distance,
@@ -161,6 +162,26 @@ class TestBatchedSeeding:
         assert freqs.dtype == np.float64 and not freqs.flags.writeable
         assert freqs.tolist() == list(reference_frequencies(chip_seed, params))
 
+    @settings(deadline=None)  # max_examples from the profile: 100 by default
+    @given(
+        chip_seed=st.integers(0, 2**64 - 1),
+        oscillator_count=st.integers(2, 300),
+        nominal_frequency=st.just(0.0) | st.floats(-1e12, 1e12),
+        process_variation_sigma=st.floats(0.0, 1e12, exclude_min=True),
+    )
+    def test_new_chip_matches_reference_on_drawn_params(
+        self, chip_seed, oscillator_count, nominal_frequency, process_variation_sigma
+    ):
+        params = PufParams(
+            oscillator_count=oscillator_count,
+            response_bits=1,
+            nominal_frequency=nominal_frequency,
+            process_variation_sigma=process_variation_sigma,
+        )
+        freqs = new_chip(chip_seed, params).base_frequencies
+        expected = np.array(reference_frequencies(chip_seed, params))
+        assert freqs.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
     @pytest.mark.parametrize("params", PARAM_SETS)
     @pytest.mark.parametrize("noise_sigma", [0.0, 1e5, 1.9e6])
     def test_measure_response_matches_reference(self, params, noise_sigma):
@@ -198,6 +219,53 @@ class TestBatchedSeeding:
         )
         before, after = out.stdout.split()
         assert after == before  # numpy < 2 imports numpy.random itself
+
+
+def set_next_raw(bit_generator, raw):
+    """Set a PCG64 so that its next raw draw is raw (below 2**64): the
+    state that steps to raw, whose high word 0 makes XSL-RR output raw."""
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": raw, "inc": 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bit_generator.advance(-1)
+
+
+class TestZigguratTables:
+    """new_chip's fast path against the installed numpy's standard_normal:
+    a raw draw r is layer r & 0xFF, sign bit 8, magnitude r >> 9."""
+
+    def test_every_layer_matches_numpy(self):
+        wi, ki = _ziggurat()
+        bit_generator = np.random.PCG64(0)
+        normal = np.random.Generator(bit_generator).standard_normal
+        rng = random.Random(18)
+
+        def draw(layer, magnitude, sign=0):
+            """standard_normal() of that draw, and whether it used one raw draw."""
+            raw = magnitude << 9 | sign << 8 | layer
+            set_next_raw(bit_generator, raw)
+            value = normal()
+            return value, bit_generator.state["state"]["state"] == raw
+
+        for layer in range(256):
+            # magnitude 1 returns the table entry itself (on the top layer
+            # once the wedge test accepts it), so an entry one ulp off fails here
+            value, _ = draw(layer, 1)
+            assert value == wi[layer], layer
+            if layer == 1:  # the top layer is never accepted at once
+                assert ki[layer] == 0
+                continue
+            bound = int(ki[layer])
+            # bound - 1 is accepted in one draw, so ki never exceeds numpy's bound
+            for magnitude in [rng.randrange(bound) for _ in range(3)] + [bound - 1]:
+                for sign in (0, 1):
+                    value, one_draw = draw(layer, magnitude, sign)
+                    assert one_draw, (layer, magnitude)
+                    expected = float(magnitude) * wi[layer]
+                    assert value == (-expected if sign else expected), (layer, magnitude)
 
 
 class TestResponse:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from log_oracle import records
+from policy_helpers import integrity_of
 
 from trusttoken import soc_sim
 from trusttoken.errors import ConfigurationError, SimulationFault, TrustTokenError
@@ -33,7 +34,7 @@ from trusttoken.soc_sim import (
     report,
     run,
 )
-from trusttoken.token_authority import AuthorizationOutcome, lookup_integrity
+from trusttoken.token_authority import AuthorizationOutcome
 from trusttoken.trust_wrapper import SidebandSignals, WrappedTransaction
 
 R = AccessAttribute.READ
@@ -769,7 +770,7 @@ class TestLiveCounters:
         def checked(txn):
             # an empty attribute is granted only by a pass-through: a LOW
             # target in trusttoken mode, a set bypass flag in baseline mode
-            passes = (lookup_integrity(sim.table, txn.target) is IntegrityLevel.LOW
+            passes = (integrity_of(sim.table, txn.target) is IntegrityLevel.LOW
                       if mode != MODE_BASELINE else
                       not sim._baseline_check_enabled or not sim._baseline_secure[txn.target])
             outcome = authorize(txn)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from policy_helpers import integrity_of
 
 from trusttoken.errors import ParameterError, ProvisioningError
 from trusttoken.policy_engine import (
@@ -18,7 +19,6 @@ from trusttoken.policy_engine import (
 from trusttoken.puf_model import PufParams
 from trusttoken.token_authority import (
     authorize,
-    lookup_integrity,
     provision,
     request_integrity_transition,
 )
@@ -188,7 +188,7 @@ def test_authorize_is_evaluate_on_high_targets(chip, default_params):
                     outcome = authorize(table, txn, model)
                     assert outcome.serial == checked
                     checked += 1
-                    if target in table and lookup_integrity(table, target) is IntegrityLevel.LOW:
+                    if integrity_of(table, target) is IntegrityLevel.LOW:
                         assert outcome.granted and outcome.cycle_cost == 1
                         continue
                     request = AccessRequest(proc.owner, proc, target, sent_token, sent_id, kind)
@@ -208,20 +208,20 @@ class TestIntegrityTransitions:
         _, token = creds[OBJECTS[0]]
         outcome = request_integrity_transition(table, OBJECTS[0], token, IntegrityLevel.LOW)
         assert outcome.granted
-        assert lookup_integrity(table, OBJECTS[0]) is IntegrityLevel.LOW
+        assert integrity_of(table, OBJECTS[0]) is IntegrityLevel.LOW
 
     def test_wrong_token_leaves_level(self, table):
         outcome = request_integrity_transition(table, OBJECTS[0], 0, IntegrityLevel.LOW)
         assert not outcome.granted
         assert outcome.reason is DenialReason.TOKEN_MISMATCH
-        assert lookup_integrity(table, OBJECTS[0]) is IntegrityLevel.HIGH
+        assert integrity_of(table, OBJECTS[0]) is IntegrityLevel.HIGH
 
     def test_idempotent_transition(self, table):
         creds = release_all(table)
         _, token = creds[OBJECTS[1]]
         outcome = request_integrity_transition(table, OBJECTS[1], token, IntegrityLevel.HIGH)
         assert outcome.granted
-        assert lookup_integrity(table, OBJECTS[1]) is IntegrityLevel.HIGH
+        assert integrity_of(table, OBJECTS[1]) is IntegrityLevel.HIGH
 
     def test_unknown_object(self, table):
         outcome = request_integrity_transition(table, 9, 0, IntegrityLevel.LOW)
@@ -238,15 +238,16 @@ class TestIntegrityTransitions:
         assert outcome.granted and outcome.cycle_cost == 1
 
     def test_fresh_ip_is_high(self, table):
-        assert lookup_integrity(table, OBJECTS[3]) is IntegrityLevel.HIGH
+        assert integrity_of(table, OBJECTS[3]) is IntegrityLevel.HIGH
 
 
 def uncached_decision(table, txn, policy):
     """What authorize decides without its memo: an unprovisioned target is
     MALFORMED, a LOW target passes at cost 1, a HIGH one is evaluate's."""
-    if txn.target not in table:
+    level = integrity_of(table, txn.target)
+    if level is None:
         return False, 2, DenialReason.MALFORMED
-    if lookup_integrity(table, txn.target) is IntegrityLevel.LOW:
+    if level is IntegrityLevel.LOW:
         return True, 1, None
     sideband = txn.sideband
     request = AccessRequest(txn.source.owner, txn.source, txn.target,
