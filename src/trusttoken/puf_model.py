@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -363,9 +362,11 @@ def reliability(
     return 100.0 - 100.0 * total / n_measurements
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationMetrics:
-    """Aggregate metrics of a chip-population campaign."""
+    """Aggregate metrics of a chip-population campaign.  distances is a
+    read-only int array: row c holds every chip pair's Hamming distance under
+    challenges[c], in itertools.combinations(range(n_chips), 2) order."""
 
     n_chips: int
     n_challenges: int
@@ -373,15 +374,14 @@ class PopulationMetrics:
     uniqueness_pct: float
     randomness_pct: float
     reliability_pct: float
-    pairwise_distances: tuple[tuple[int, int, int, int], ...]  # (challenge, chip_a, chip_b, bits)
+    challenges: tuple[int, ...]  # in draw order
+    distances: np.ndarray
 
     def fraction_in_band(self) -> float:
         """Fraction of pairwise distances inside the 40-60% fractional band."""
-        if not self.pairwise_distances:
-            return 0.0
         lo, hi = 0.40 * self.response_bits, 0.60 * self.response_bits
-        inside = sum(1 for _, _, _, d in self.pairwise_distances if lo <= d <= hi)
-        return inside / len(self.pairwise_distances)
+        inside = np.count_nonzero((lo <= self.distances) & (self.distances <= hi))
+        return int(inside) / self.distances.size
 
 
 def _campaign_draws(n_chips: int, n_challenges: int, master_seed: int) -> tuple[list, list]:
@@ -404,9 +404,9 @@ def evaluate_population(
 ) -> PopulationMetrics:
     """Run a full metric campaign over a seeded chip population.
 
-    Uniqueness and the pairwise-distance list use noiseless measurements;
-    reliability uses 100 remeasurements of chip 0 with params.noise_sigma
-    (100% exactly when it is zero).
+    Uniqueness and the pairwise distances use noiseless measurements, one
+    row of distances per challenge; reliability uses 100 remeasurements of
+    chip 0 with params.noise_sigma (100% exactly when it is zero).
     """
     if n_chips < 2:
         raise ParameterError("campaign needs at least 2 chips")
@@ -414,12 +414,10 @@ def evaluate_population(
     chips = [new_chip(seed, params) for seed in chip_seeds]
     freqs = np.stack([chip.base_frequencies for chip in chips])
     first, second = np.triu_indices(n_chips, k=1)
-    first_ids, second_ids = first.tolist(), second.tolist()
+    distances = np.empty((n_challenges, first.size), dtype=np.int64)
 
-    pairwise = []
     ones_total = 0
-    dist_total = 0
-    for cv in challenge_values:
+    for row, cv in zip(distances, challenge_values):
         # One array pass per challenge: every chip's response bits, then the
         # Hamming distance of every chip pair in itertools.combinations order,
         # from |a xor b| = |a| + |b| - 2 |a and b|.  einsum keeps the product
@@ -428,10 +426,9 @@ def evaluate_population(
         bits = _response_bits(freqs, challenge_pairs(cv, params)).astype(np.int32)
         ones = bits.sum(axis=1)
         common = np.einsum("ik,jk->ij", bits, bits)
-        dists = ones[first] + ones[second] - 2 * common[first, second]
+        row[:] = ones[first] + ones[second] - 2 * common[first, second]
         ones_total += int(ones.sum())
-        dist_total += int(dists.sum())
-        pairwise.extend(zip(itertools.repeat(cv), first_ids, second_ids, dists.tolist()))
+    distances.flags.writeable = False
 
     width = params.response_bits
     rel = reliability(chips[0], challenge_values[0], 100, params)
@@ -439,8 +436,9 @@ def evaluate_population(
         n_chips=n_chips,
         n_challenges=n_challenges,
         response_bits=width,
-        uniqueness_pct=100.0 * (dist_total / width) / len(pairwise),
+        uniqueness_pct=100.0 * (int(distances.sum()) / width) / distances.size,
         randomness_pct=100.0 * ones_total / width / (n_chips * n_challenges),
         reliability_pct=rel,
-        pairwise_distances=tuple(pairwise),
+        challenges=tuple(challenge_values),
+        distances=distances,
     )

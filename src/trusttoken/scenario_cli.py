@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -203,10 +204,13 @@ def cmd_puf_eval(chips: int, challenges: int, seed: int, out_path: str,
     }
     (out / "metrics.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     # The rows csv.writer would write (no field needs quoting), streamed.
-    tails = [f"{d},{d / 256:.6f}\r\n" for d in range(257)]
+    width = metrics.response_bits
+    tails = [f"{d},{d / width:.6f}\r\n" for d in range(width + 1)]
+    pairs = [f"{a},{b}," for a, b in itertools.combinations(range(metrics.n_chips), 2)]
     with (out / "hamming.csv").open("w", newline="") as fh:
         fh.write("challenge,chip_a,chip_b,distance_bits,distance_frac\r\n")
-        fh.writelines(f"{c},{a},{b},{tails[d]}" for c, a, b, d in metrics.pairwise_distances)
+        for c, row in zip(metrics.challenges, metrics.distances.tolist()):
+            fh.writelines(f"{c},{pair}{tails[d]}" for pair, d in zip(pairs, row))
     print(
         f"uniqueness={metrics.uniqueness_pct:.2f}% "
         f"randomness={metrics.randomness_pct:.2f}% "

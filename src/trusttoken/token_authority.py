@@ -76,16 +76,13 @@ class TokenTable:
 
     def release_credentials(self, obj: int) -> tuple[int, int]:
         """One-shot boot handout of (ar_id, ar_token) for a wrapper."""
-        entry = self._require(obj)
+        if obj not in self._entries:
+            raise ParameterError(f"object {obj} is not provisioned")
+        entry = self._entries[obj]
         if entry.released:
             raise ParameterError(f"credentials for {obj} were already released")
         entry.released = True
         return entry.ip_id, entry.token
-
-    def _require(self, obj: int) -> _Entry:
-        if obj not in self._entries:
-            raise ParameterError(f"object {obj} is not provisioned")
-        return self._entries[obj]
 
 
 def provision(

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 
 import pytest
@@ -432,8 +433,10 @@ class TestPufEval:
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["challenge", "chip_a", "chip_b", "distance_bits", "distance_frac"])
-        for challenge, a, b, d in evaluate_population(6, 3, 4, PufParams()).pairwise_distances:
-            writer.writerow([challenge, a, b, d, f"{d / 256:.6f}"])
+        metrics = evaluate_population(6, 3, 4, PufParams())
+        for challenge, row in zip(metrics.challenges, metrics.distances.tolist(), strict=True):
+            for (a, b), d in zip(itertools.combinations(range(6), 2), row, strict=True):
+                writer.writerow([challenge, a, b, d, f"{d / 256:.6f}"])
         assert (out / "hamming.csv").read_bytes() == expected.getvalue().encode()
 
     def test_too_few_chips(self, tmp_path):

@@ -394,40 +394,41 @@ class TestPopulationKernel:
     """The array pass of evaluate_population against scalar
     measure_response + hamming_distance over the same chips."""
 
-    @pytest.mark.parametrize(
-        "n_chips, params",
-        [
-            (2, PufParams()),
-            (7, PufParams()),
-            # a width that is not a power of two
-            (5, PufParams(oscillator_count=200, response_bits=100)),
-        ],
+    @settings(deadline=None)  # max_examples from the profile: 100 by default
+    @given(
+        n_chips=st.integers(2, 7),
+        n_challenges=st.integers(1, 4),
+        master_seed=st.integers(0, 2**64 - 1),
+        # the second width is not a power of two
+        params=st.sampled_from([PufParams(), PufParams(oscillator_count=200, response_bits=100)]),
     )
-    def test_matches_scalar_path(self, n_chips, params):
-        n_challenges = 3
-        metrics = evaluate_population(n_chips, n_challenges, 11, params)
-        challenge_values, chip_seeds = _campaign_draws(n_chips, n_challenges, 11)
+    def test_matches_scalar_path(self, n_chips, n_challenges, master_seed, params):
+        metrics = evaluate_population(n_chips, n_challenges, master_seed, params)
+        challenge_values, chip_seeds = _campaign_draws(n_chips, n_challenges, master_seed)
         chips = [new_chip(s, params) for s in chip_seeds]
         width = params.response_bits
 
-        pairwise = []
+        rows = []
         uniq_total = 0.0
         ones_total = 0.0
         for cv in challenge_values:
             responses = [measure_response(c, cv, 0, params) for c in chips]
             ones_total += sum(100.0 * r.bits.bit_count() / r.width for r in responses)
-            dists = [
-                hamming_distance(ra, rb) for ra, rb in itertools.combinations(responses, 2)
-            ]
-            pairs = itertools.combinations(range(n_chips), 2)
-            pairwise += [(cv, a, b, d) for (a, b), d in zip(pairs, dists)]
-            uniq_total += sum(d / width for d in dists)
+            rows.append(
+                [hamming_distance(ra, rb) for ra, rb in itertools.combinations(responses, 2)]
+            )
+            uniq_total += sum(d / width for d in rows[-1])
+        dists = [d for row in rows for d in row]
 
-        assert metrics.pairwise_distances == tuple(pairwise)
+        assert metrics.challenges == tuple(challenge_values)
+        assert metrics.distances.dtype.kind == "i"
+        assert metrics.distances.tolist() == rows
+        in_band = sum(0.40 * width <= d <= 0.60 * width for d in dists)
+        assert metrics.fraction_in_band() == in_band / len(dists)
         # Exact for power-of-two widths; otherwise the scalar float sums
         # and the kernel's integer sums may round apart in the last place.
         exact = width & (width - 1) == 0
-        expected_uniq = 100.0 * uniq_total / len(pairwise)
+        expected_uniq = 100.0 * uniq_total / len(dists)
         expected_rand = ones_total / (n_chips * n_challenges)
         if exact:
             assert metrics.uniqueness_pct == expected_uniq
@@ -435,6 +436,12 @@ class TestPopulationKernel:
         else:
             assert metrics.uniqueness_pct == pytest.approx(expected_uniq, rel=1e-12)
             assert metrics.randomness_pct == pytest.approx(expected_rand, rel=1e-12)
+
+    def test_distances_are_read_only(self):
+        metrics = evaluate_population(3, 2, 0, PufParams())
+        assert metrics.distances.shape == (2, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            metrics.distances[0, 0] = 0
 
     def test_single_chip_rejected(self):
         with pytest.raises(ParameterError, match="at least 2 chips"):

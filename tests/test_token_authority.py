@@ -107,8 +107,12 @@ class TestProvision:
 
     def test_credentials_released_once(self, table):
         table.release_credentials(OBJECTS[0])
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="already released"):
             table.release_credentials(OBJECTS[0])
+
+    def test_unprovisioned_object_has_no_credentials(self, table):
+        with pytest.raises(ParameterError, match=f"object {max(OBJECTS) + 1} is not provisioned"):
+            table.release_credentials(max(OBJECTS) + 1)
 
     def test_no_public_token_accessor(self, table):
         # the one-shot release is the only outward path for a token
