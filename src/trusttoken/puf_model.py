@@ -56,6 +56,13 @@ _ZIG_SHIFT, _ZIG_MAG = np.uint64(9), np.uint64(2**52 - 1)
 _ZIG_TOP_LAYER = 1  # under the apex: no rectangle part, never accepted at once
 _KI_MARGIN = 16  # units of 2**-52 kept below each layer's acceptance bound
 
+# _manufacture's pass size: 8 default chips.  One pass over a 100-chip
+# campaign's 51,200 oscillators was slower and held 7 MB more at its peak.
+_PASS_OSCILLATORS = 4096
+# The most pairwise distances one campaign may hold (a puf-eval of 100 chips
+# x 16 challenges holds 79,200).
+_MAX_CAMPAIGN_DISTANCES = 2**24
+
 
 def _check_u64(value: int, name: str) -> int:
     if not isinstance(value, int) or not 0 <= value <= _U64_MAX:
@@ -78,9 +85,11 @@ class PufParams:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.oscillator_count > 2**32:  # _seed_states takes each index as one word
+        # Bounds each chip's arrays, and keeps response_bits <= 2**15, so that
+        # evaluate_population's uint16 pair counts cannot wrap.
+        if self.oscillator_count > 2**16:
             raise ParameterError(
-                f"oscillator_count must be at most 2**32, got {self.oscillator_count}"
+                f"oscillator_count must be at most 2**16, got {self.oscillator_count}"
             )
         for name in ("nominal_frequency", "process_variation_sigma", "noise_sigma"):
             value = getattr(self, name)
@@ -149,18 +158,22 @@ def _hash(value: np.ndarray, constants, steps: slice) -> np.ndarray:
     return value ^ (value >> _SS_XSHIFT)
 
 
-def _seed_states(chip_seed: int, count: int) -> np.ndarray:
-    """Row i is SeedSequence([chip_seed, i]).generate_state(4, np.uint64),
-    for every i in range(count), from one pass of SeedSequence's pool hash
-    over uint32 arrays (wrapping arithmetic).  Needs count <= 2**32, so
-    that each i is a single entropy word."""
-    words = [chip_seed & _MASK32]  # 32-bit words, least significant first
-    while chip_seed >> 32:
-        chip_seed >>= 32
-        words.append(chip_seed & _MASK32)
-    entropy = np.zeros((_SS_POOL_SIZE, count), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(count, dtype=np.uint32)
+def _seed_states(chip_seeds, count: int) -> np.ndarray:
+    """Row k * count + i is SeedSequence([chip_seeds[k], i]).generate_state(4,
+    np.uint64), for every i in range(count), from one pass of SeedSequence's
+    pool hash over uint32 arrays (wrapping arithmetic).  SeedSequence's
+    entropy words are 32-bit, least significant first: [lo, i, 0, 0] for a
+    seed below 2**32, else [lo, hi, i, 0].  Needs count <= 2**32, so that
+    each i is a single word."""
+    seeds = np.array(chip_seeds, dtype=np.uint64)[:, None]
+    hi = (seeds >> _U64_32).astype(np.uint32)
+    index = np.arange(count, dtype=np.uint32)
+    two_words = hi != 0
+    entropy = np.zeros((_SS_POOL_SIZE, len(seeds), count), dtype=np.uint32)
+    entropy[0] = seeds & _U32_MASK
+    entropy[1] = np.where(two_words, hi, index)
+    entropy[2] = np.where(two_words, index, 0)
+    entropy = entropy.reshape(_SS_POOL_SIZE, -1)
 
     pool = _hash(entropy, _SS_HASH_A, slice(0, _SS_POOL_SIZE))
     for src in range(_SS_POOL_SIZE):
@@ -258,37 +271,60 @@ def _first_draws(states: np.ndarray) -> np.ndarray:
     return mixed >> rot | mixed << (_U64_64 - rot & _U64_63)
 
 
-def new_chip(chip_seed: int, params: PufParams) -> ChipFingerprint:
-    """Manufacture a chip: base frequency i is what the generator
-    default_rng([chip_seed, i]) of oscillator i draws, normal(nominal,
-    sigma), so regeneration is bit-identical.  One array pass computes
-    every oscillator's seed words (_seed_states) and first PCG64 draw
-    (_first_draws) and maps the draw as numpy's ziggurat does; the few
-    draws outside its fast path (the tail, the top layer, draws near a
-    bound) are redrawn by the oscillator's own Generator."""
-    _check_u64(chip_seed, "chip_seed")
+def _manufacture(chip_seeds, params: PufParams) -> np.ndarray:
+    """The base frequencies of the chips with the given seeds, one row per
+    chip (a read-only float64 array): frequency i of a chip is what the
+    generator default_rng([chip_seed, i]) of oscillator i draws,
+    normal(nominal, sigma), so regeneration is bit-identical.  Each pass
+    over whole chips, of at most _PASS_OSCILLATORS oscillators (or one chip
+    when a chip has more), computes every oscillator's seed words
+    (_seed_states) and first PCG64 draw (_first_draws) and maps the draw as
+    numpy's ziggurat does; the few draws outside its fast path (the tail,
+    the top layer, draws near a bound) are redrawn by the oscillator's own
+    Generator."""
+    for chip_seed in chip_seeds:
+        _check_u64(chip_seed, "chip_seed")
     wi, ki = _ziggurat()
-    nominal, sigma = float(params.nominal_frequency), float(params.process_variation_sigma)
-    states = _seed_states(chip_seed, params.oscillator_count)
-    draws = _first_draws(states)
-    layer = (draws & _ZIG_LAYER).astype(np.intp)
-    magnitude = draws >> _ZIG_SHIFT & _ZIG_MAG
-    z = magnitude * wi[layer]
-    np.negative(z, out=z, where=(draws & _ZIG_SIGN).astype(bool))
-    freqs = nominal + (0.0 + sigma * z)  # numpy's normal is loc + scale * z
     seeded_rng = _seeded_rng()
-    for i in np.flatnonzero(magnitude >= ki[layer]).tolist():
-        freqs[i] = nominal + seeded_rng(states[i]).normal(0.0, sigma)
+    nominal, sigma = float(params.nominal_frequency), float(params.process_variation_sigma)
+    count = params.oscillator_count
+    freqs = np.empty((len(chip_seeds), count))
+    per_pass = max(1, _PASS_OSCILLATORS // count)
+    for start in range(0, len(chip_seeds), per_pass):
+        states = _seed_states(chip_seeds[start : start + per_pass], count)
+        draws = _first_draws(states)
+        layer = (draws & _ZIG_LAYER).astype(np.intp)
+        magnitude = draws >> _ZIG_SHIFT & _ZIG_MAG
+        z = magnitude * wi[layer]
+        np.negative(z, out=z, where=(draws & _ZIG_SIGN).astype(bool))
+        out = freqs[start : start + per_pass].reshape(-1)  # a view: the rows are contiguous
+        out[:] = nominal + (0.0 + sigma * z)  # numpy's normal is loc + scale * z
+        for i in np.flatnonzero(magnitude >= ki[layer]).tolist():
+            out[i] = nominal + seeded_rng(states[i]).normal(0.0, sigma)
     freqs.flags.writeable = False
-    return ChipFingerprint(chip_seed=chip_seed, base_frequencies=freqs)
+    return freqs
+
+
+def new_chip(chip_seed: int, params: PufParams) -> ChipFingerprint:
+    """Manufacture one chip: row 0 of _manufacture([chip_seed], params)."""
+    return ChipFingerprint(chip_seed, _manufacture([chip_seed], params)[0])
+
+
+def _check_challenge(challenge: int) -> None:
+    if not isinstance(challenge, int) or not 0 <= challenge <= 0xFFFF:
+        raise ParameterError(f"challenge must fit in 2 bytes, got {challenge!r}")
+
+
+def _check_chip(chip: ChipFingerprint, params: PufParams) -> None:
+    if len(chip.base_frequencies) != params.oscillator_count:
+        raise ParameterError("chip was generated with different params")
 
 
 def challenge_pairs(challenge: int, params: PufParams) -> np.ndarray:
     """Deterministic mapping from a 2-byte challenge, an int in 0..0xFFFF,
     to response_bits disjoint oscillator index pairs (shape
     (response_bits, 2)).  Every response path maps its challenge here."""
-    if not isinstance(challenge, int) or not 0 <= challenge <= 0xFFFF:
-        raise ParameterError(f"challenge must fit in 2 bytes, got {challenge!r}")
+    _check_challenge(challenge)
     rng = np.random.default_rng([challenge, _PAIRING_SALT])
     perm = rng.permutation(params.oscillator_count)
     return perm[: 2 * params.response_bits].reshape(params.response_bits, 2)
@@ -316,8 +352,7 @@ def measure_response(
     part.
     """
     _check_u64(measurement_seed, "measurement_seed")
-    if len(chip.base_frequencies) != params.oscillator_count:
-        raise ParameterError("chip was generated with different params")
+    _check_chip(chip, params)
     pairs = challenge_pairs(challenge, params)
     observed = chip.base_frequencies
     if params.noise_sigma > 0:
@@ -350,9 +385,15 @@ def reliability(
     params: PufParams,
 ) -> float:
     """100 minus the mean fractional intra-chip Hamming distance (percent)
-    of noisy remeasurements against the noiseless reference response."""
+    of noisy remeasurements against the noiseless reference response.
+    With params.noise_sigma 0 every remeasurement is the reference, so this
+    is 100.0 by definition and nothing is measured."""
     if n_measurements < 2:
         raise ParameterError("reliability needs at least 2 measurements")
+    if params.noise_sigma == 0:
+        _check_chip(chip, params)
+        _check_challenge(challenge)
+        return 100.0
     quiet = dataclasses.replace(params, noise_sigma=0.0)
     reference = measure_response(chip, challenge, 0, quiet)
     total = 0.0
@@ -404,15 +445,22 @@ def evaluate_population(
 ) -> PopulationMetrics:
     """Run a full metric campaign over a seeded chip population.
 
+    The chips are made together by _manufacture, in bounded passes.
     Uniqueness and the pairwise distances use noiseless measurements, one
     row of distances per challenge; reliability uses 100 remeasurements of
-    chip 0 with params.noise_sigma (100% exactly when it is zero).
+    chip 0 with params.noise_sigma (100% by definition, with no
+    remeasurement, when it is zero).  A campaign may hold at most
+    _MAX_CAMPAIGN_DISTANCES distances, which is checked before any draw.
     """
     if n_chips < 2:
         raise ParameterError("campaign needs at least 2 chips")
+    if n_chips * (n_chips - 1) // 2 * n_challenges > _MAX_CAMPAIGN_DISTANCES:
+        raise ParameterError(
+            f"campaign of {n_chips} chips x {n_challenges} challenges exceeds "
+            f"2**24 pairwise distances"
+        )
     challenge_values, chip_seeds = _campaign_draws(n_chips, n_challenges, master_seed)
-    chips = [new_chip(seed, params) for seed in chip_seeds]
-    freqs = np.stack([chip.base_frequencies for chip in chips])
+    freqs = _manufacture(chip_seeds, params)
     first, second = np.triu_indices(n_chips, k=1)
     distances = np.empty((n_challenges, first.size), dtype=np.int64)
 
@@ -422,16 +470,17 @@ def evaluate_population(
         # Hamming distance of every chip pair in itertools.combinations order,
         # from |a xor b| = |a| + |b| - 2 |a and b|.  einsum keeps the product
         # off BLAS: its worker threads made a 100-chip campaign about 15%
-        # slower on a 2-vCPU host.
-        bits = _response_bits(freqs, challenge_pairs(cv, params)).astype(np.int32)
-        ones = bits.sum(axis=1)
+        # slower on a 2-vCPU host.  The products are counted in uint16, which
+        # cannot wrap: a count is at most response_bits <= 2**15 (PufParams).
+        bits = _response_bits(freqs, challenge_pairs(cv, params)).astype(np.uint16)
+        ones = bits.sum(axis=1, dtype=np.int64)
         common = np.einsum("ik,jk->ij", bits, bits)
-        row[:] = ones[first] + ones[second] - 2 * common[first, second]
+        row[:] = ones[first] + ones[second] - 2 * common[first, second].astype(np.int64)
         ones_total += int(ones.sum())
     distances.flags.writeable = False
 
     width = params.response_bits
-    rel = reliability(chips[0], challenge_values[0], 100, params)
+    rel = reliability(ChipFingerprint(chip_seeds[0], freqs[0]), challenge_values[0], 100, params)
     return PopulationMetrics(
         n_chips=n_chips,
         n_challenges=n_challenges,

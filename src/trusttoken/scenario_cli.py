@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -203,14 +204,15 @@ def cmd_puf_eval(chips: int, challenges: int, seed: int, out_path: str,
         "fraction_in_40_60_band": metrics.fraction_in_band(),
     }
     (out / "metrics.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    # The rows csv.writer would write (no field needs quoting), streamed.
+    # The rows csv.writer would write (no field needs quoting), one write per challenge.
     width = metrics.response_bits
     tails = [f"{d},{d / width:.6f}\r\n" for d in range(width + 1)]
     pairs = [f"{a},{b}," for a, b in itertools.combinations(range(metrics.n_chips), 2)]
     with (out / "hamming.csv").open("w", newline="") as fh:
         fh.write("challenge,chip_a,chip_b,distance_bits,distance_frac\r\n")
         for c, row in zip(metrics.challenges, metrics.distances.tolist()):
-            fh.writelines(f"{c},{pair}{tails[d]}" for pair, d in zip(pairs, row))
+            pre = f"{c},"
+            fh.write(pre + pre.join(map(operator.add, pairs, map(tails.__getitem__, row))))
     print(
         f"uniqueness={metrics.uniqueness_pct:.2f}% "
         f"randomness={metrics.randomness_pct:.2f}% "

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from trusttoken import puf_model
 from trusttoken.puf_model import PufParams, evaluate_population
 from trusttoken.scenario_cli import bundled_config, main
 
@@ -110,6 +111,16 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: oscillator_count must be an integer") and err.count("\n") == 1
+
+    def test_oscillator_count_over_bound_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the bound holds before any array is made: seeding must not start
+        monkeypatch.setattr(puf_model, "_seed_states", lambda *args: pytest.fail("seeding started"))
+        cfg = tmp_path / "puf.cfg"
+        cfg.write_text(bundled_config("smoke.cfg").read_text() + "puf: {oscillator_count: 1000000000}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            "error: oscillator_count must be at most 2**16, got 1000000000\n"
+        )
 
     @pytest.mark.parametrize("kind", ["forge_token", "tamper_interconnect_signal"])
     def test_attack_on_unknown_app_exits_1(self, tmp_path, capsys, kind):
@@ -446,6 +457,14 @@ class TestPufEval:
         argv = ("puf-eval", "--chips", "2", "--challenges", "70000", "--out", str(tmp_path))
         assert run_cli(*argv) == 1
         assert capsys.readouterr().err.startswith("error: campaign needs 1 to 65536")
+
+    def test_too_many_chips_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the bound holds before any draw or array
+        monkeypatch.setattr(puf_model, "_campaign_draws", lambda *args: pytest.fail("drawn"))
+        assert run_cli("puf-eval", "--chips", "100000", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "error: campaign of 100000 chips x 16 challenges exceeds 2**24 pairwise distances\n"
+        )
 
     def test_non_finite_noise_sigma_exits_1(self, tmp_path, capsys):
         assert run_cli("puf-eval", "--noise-sigma", "nan", "--out", str(tmp_path)) == 1

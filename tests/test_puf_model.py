@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,14 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trusttoken
+from trusttoken import puf_model
 from trusttoken.errors import ParameterError
 from trusttoken.puf_model import (
     _COMMON_MODE_VARIANCE_FRACTION,
     _MEASUREMENT_SALT,
+    _PASS_OSCILLATORS,
     ChipFingerprint,
     PufParams,
     Response,
     _campaign_draws,
+    _manufacture,
     _seed_states,
     _ziggurat,
     challenge_pairs,
@@ -48,6 +52,17 @@ def reference_frequencies(chip_seed, params):
         + np.random.default_rng([chip_seed, i]).normal(0.0, params.process_variation_sigma)
         for i in range(params.oscillator_count)
     )
+
+
+def reference_reliability(chip, challenge, n_measurements, params):
+    """reliability's oracle: n_measurements noisy remeasurements against the
+    noiseless reference response, also when the noise is zero."""
+    reference = measure_response(chip, challenge, 0, dataclasses.replace(params, noise_sigma=0.0))
+    total = 0.0
+    for m in range(n_measurements):
+        remeasured = measure_response(chip, challenge, m, params)
+        total += hamming_distance(reference, remeasured) / reference.width
+    return 100.0 - 100.0 * total / n_measurements
 
 
 def reference_response(chip, challenge, measurement_seed, params):
@@ -97,7 +112,7 @@ class TestParams:
             {"oscillator_count": "512"},
             {"response_bits": 100.0},
             {"response_bits": True},
-            {"oscillator_count": 2**32 + 1},
+            {"oscillator_count": 2**16 + 1},
             {"nominal_frequency": False},
             {"process_variation_sigma": True},
             {"noise_sigma": True},
@@ -107,6 +122,9 @@ class TestParams:
         with pytest.raises(ParameterError):
             PufParams(**kwargs)
 
+    def test_oscillator_count_bound_is_inclusive(self):
+        assert PufParams(oscillator_count=2**16).oscillator_count == 2**16
+
     def test_challenge_must_fit_two_bytes(self, chip, default_params):
         challenge_pairs(0, default_params)
         challenge_pairs(0xFFFF, default_params)
@@ -115,6 +133,8 @@ class TestParams:
                 challenge_pairs(bad, default_params)
             with pytest.raises(ParameterError, match="challenge must fit in 2 bytes"):
                 measure_response(chip, bad, 0, dataclasses.replace(default_params, noise_sigma=1.0))
+            with pytest.raises(ParameterError, match="challenge must fit in 2 bytes"):
+                reliability(chip, bad, 2, default_params)
 
 
 class TestNewChip:
@@ -144,16 +164,19 @@ class TestNewChip:
 
 
 class TestBatchedSeeding:
-    """new_chip and measure_response against the per-oscillator and
-    per-bit reference loops."""
+    """new_chip, _manufacture and measure_response against the
+    per-oscillator and per-bit reference loops."""
 
-    @pytest.mark.parametrize("chip_seed", EDGE_SEEDS + RANDOM_SEEDS)
-    def test_seed_states_match_seed_sequence(self, chip_seed):
-        states = _seed_states(chip_seed, 1000)
-        assert states.shape == (1000, 4) and states.dtype == np.uint64
+    @pytest.mark.parametrize("k", range(len(EDGE_SEEDS + RANDOM_SEEDS)),
+                             ids=[str(seed) for seed in EDGE_SEEDS + RANDOM_SEEDS])
+    def test_seed_states_match_seed_sequence(self, k):
+        # one call over one- and two-word seeds; this case checks seed k's rows
+        seeds = EDGE_SEEDS + RANDOM_SEEDS
+        states = _seed_states(seeds, 1000)
+        assert states.shape == (1000 * len(seeds), 4) and states.dtype == np.uint64
         for i in (0, 1, 2, 511, 999):
-            expected = np.random.SeedSequence([chip_seed, i]).generate_state(4, np.uint64)
-            assert states[i].tolist() == expected.tolist()
+            expected = np.random.SeedSequence([seeds[k], i]).generate_state(4, np.uint64)
+            assert states[k * 1000 + i].tolist() == expected.tolist()
 
     @pytest.mark.parametrize("params", PARAM_SETS)
     @pytest.mark.parametrize("chip_seed", EDGE_SEEDS + RANDOM_SEEDS)
@@ -181,6 +204,37 @@ class TestBatchedSeeding:
         freqs = new_chip(chip_seed, params).base_frequencies
         expected = np.array(reference_frequencies(chip_seed, params))
         assert freqs.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    @settings(deadline=None)  # max_examples from the profile: 100 by default
+    @given(
+        chip_seeds=st.lists(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1),
+                            min_size=1, max_size=20),
+        oscillator_count=st.integers(2, 100),
+        # small pass sizes, so that a few chips span several passes: above,
+        # below, dividing and not dividing the oscillator count
+        pass_oscillators=st.integers(1, 64) | st.just(_PASS_OSCILLATORS),
+    )
+    def test_manufacture_matches_reference_across_passes(
+        self, chip_seeds, oscillator_count, pass_oscillators
+    ):
+        params = PufParams(oscillator_count=oscillator_count, response_bits=1)
+        with mock.patch.object(puf_model, "_PASS_OSCILLATORS", pass_oscillators):
+            freqs = _manufacture(chip_seeds, params)
+        assert freqs.shape == (len(chip_seeds), oscillator_count) and not freqs.flags.writeable
+        for seed, row in zip(chip_seeds, freqs):
+            expected = np.array(reference_frequencies(seed, params))
+            assert row.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize(
+        "oscillator_count, chip_seeds",
+        [(1000, [0, 2**32, 2**64 - 1, 1, 2**32 - 1]),  # 4 chips a pass; 1000 does not divide it
+         (_PASS_OSCILLATORS + 1, [1, 2**64 - 1])],  # one chip, above the pass size, a pass
+    )
+    def test_manufacture_matches_reference_at_pass_size(self, oscillator_count, chip_seeds):
+        params = PufParams(oscillator_count=oscillator_count, response_bits=1)
+        freqs = _manufacture(chip_seeds, params)
+        assert not freqs.flags.writeable
+        assert freqs.tolist() == [list(reference_frequencies(s, params)) for s in chip_seeds]
 
     @pytest.mark.parametrize("params", PARAM_SETS)
     @pytest.mark.parametrize("noise_sigma", [0.0, 1e5, 1.9e6])
@@ -319,6 +373,8 @@ class TestMeasureResponse:
         small = PufParams(oscillator_count=200, response_bits=100)
         with pytest.raises(ParameterError, match="chip was generated with different params"):
             measure_response(chip, 1, 0, small)
+        with pytest.raises(ParameterError, match="chip was generated with different params"):
+            reliability(chip, 1, 2, small)
 
 
 class TestHammingDistance:
@@ -370,6 +426,21 @@ class TestReliability:
     def test_too_few_measurements(self, chip, default_params):
         with pytest.raises(ParameterError):
             reliability(chip, 2, 1, default_params)
+
+    def test_noiseless_measures_nothing(self, chip, default_params, monkeypatch):
+        calls = []
+        monkeypatch.setattr(puf_model, "measure_response", lambda *args: calls.append(args))
+        assert reliability(chip, 2, 100, default_params) == 100.0
+        assert calls == []
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 1e5])
+    def test_matches_remeasurement_loop(self, noise_sigma):
+        params = PufParams(noise_sigma=noise_sigma)
+        for chip_seed in (0, 7, 2**64 - 1):
+            chip = new_chip(chip_seed, params)
+            for challenge in (0, 2, 0xFFFF):
+                expected = reference_reliability(chip, challenge, 20, params)
+                assert reliability(chip, challenge, 20, params) == expected
 
 
 class TestPopulationBand:
@@ -442,6 +513,22 @@ class TestPopulationKernel:
         assert metrics.distances.shape == (2, 3)
         with pytest.raises(ValueError, match="read-only"):
             metrics.distances[0, 0] = 0
+
+    def test_campaign_size_bounded_before_any_draw(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def draws(*args):
+            raise Drawn
+
+        monkeypatch.setattr(puf_model, "_campaign_draws", draws)
+        # 5794 chips have 16,782,321 pairs, 5793 have 16,776,528 (2**24 = 16,777,216)
+        with pytest.raises(ParameterError, match=r"exceeds 2\*\*24 pairwise distances"):
+            evaluate_population(5794, 1, 0, PufParams())
+        with pytest.raises(ParameterError, match=r"exceeds 2\*\*24"):
+            evaluate_population(2, 2**24 + 1, 0, PufParams())
+        with pytest.raises(Drawn):
+            evaluate_population(5793, 1, 0, PufParams())
 
     def test_single_chip_rejected(self):
         with pytest.raises(ParameterError, match="at least 2 chips"):
