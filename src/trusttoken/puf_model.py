@@ -158,23 +158,12 @@ def _hash(value: np.ndarray, constants, steps: slice) -> np.ndarray:
     return value ^ (value >> _SS_XSHIFT)
 
 
-def _seed_states(chip_seeds, count: int) -> np.ndarray:
-    """Row k * count + i is SeedSequence([chip_seeds[k], i]).generate_state(4,
-    np.uint64), for every i in range(count), from one pass of SeedSequence's
-    pool hash over uint32 arrays (wrapping arithmetic).  SeedSequence's
-    entropy words are 32-bit, least significant first: [lo, i, 0, 0] for a
-    seed below 2**32, else [lo, hi, i, 0].  Needs count <= 2**32, so that
-    each i is a single word."""
-    seeds = np.array(chip_seeds, dtype=np.uint64)[:, None]
-    hi = (seeds >> _U64_32).astype(np.uint32)
-    index = np.arange(count, dtype=np.uint32)
-    two_words = hi != 0
-    entropy = np.zeros((_SS_POOL_SIZE, len(seeds), count), dtype=np.uint32)
-    entropy[0] = seeds & _U32_MASK
-    entropy[1] = np.where(two_words, hi, index)
-    entropy[2] = np.where(two_words, index, 0)
-    entropy = entropy.reshape(_SS_POOL_SIZE, -1)
-
+def _pool_hash(entropy: np.ndarray) -> np.ndarray:
+    """Row j is SeedSequence(e).generate_state(4, np.uint64), where e is
+    column j of entropy, a (_SS_POOL_SIZE, n) uint32 array of 32-bit entropy
+    words, least significant first and zero-padded as SeedSequence pads
+    them: one pass of SeedSequence's pool hash over uint32 arrays (wrapping
+    arithmetic)."""
     pool = _hash(entropy, _SS_HASH_A, slice(0, _SS_POOL_SIZE))
     for src in range(_SS_POOL_SIZE):
         # src's hash steps feed the other words in order; src is not changed
@@ -185,6 +174,23 @@ def _seed_states(chip_seeds, count: int) -> np.ndarray:
         pool[dst] = mixed ^ (mixed >> _SS_XSHIFT)
     state = _hash(np.tile(pool, (2, 1)), _SS_HASH_B, slice(None))  # row k hashes pool[k % 4]
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _seed_states(chip_seeds, count: int) -> np.ndarray:
+    """Row k * count + i is SeedSequence([chip_seeds[k], i]).generate_state(4,
+    np.uint64), for every i in range(count), from one _pool_hash.
+    SeedSequence's entropy words are [lo, i, 0, 0] for a seed below 2**32,
+    else [lo, hi, i, 0].  Needs count <= 2**32, so that each i is a single
+    word."""
+    seeds = np.array(chip_seeds, dtype=np.uint64)[:, None]
+    hi = (seeds >> _U64_32).astype(np.uint32)
+    index = np.arange(count, dtype=np.uint32)
+    two_words = hi != 0
+    entropy = np.zeros((_SS_POOL_SIZE, len(seeds), count), dtype=np.uint32)
+    entropy[0] = seeds & _U32_MASK
+    entropy[1] = np.where(two_words, hi, index)
+    entropy[2] = np.where(two_words, index, 0)
+    return _pool_hash(entropy.reshape(_SS_POOL_SIZE, -1))
 
 
 @functools.cache
@@ -332,9 +338,42 @@ def challenge_pairs(challenge: int, params: PufParams) -> np.ndarray:
 
 def _response_bits(freqs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """The response rule, for one chip's frequencies or a stack of them
-    (one chip per row): bit j is 1 iff the frequency of pair j's first
-    oscillator exceeds that of its second, so exact ties give 0."""
-    return freqs[..., pairs[:, 0]] > freqs[..., pairs[:, 1]]
+    (one chip per row) under one pairing, or for one chip under a stack of
+    pairings (one challenge per row): bit j is 1 iff the frequency of pair
+    j's first oscillator exceeds that of its second, so exact ties give 0."""
+    return freqs[..., pairs[..., 0]] > freqs[..., pairs[..., 1]]
+
+
+def _stacked_pairs(challenges, params: PufParams) -> np.ndarray:
+    """challenge_pairs of each challenge, stacked (shape (len(challenges),
+    response_bits, 2)): the seed words of every default_rng([challenge,
+    _PAIRING_SALT]) come from one _pool_hash (entropy [challenge, salt, 0,
+    0]), and each challenge's generator then draws its permutation."""
+    entropy = np.zeros((_SS_POOL_SIZE, len(challenges)), dtype=np.uint32)
+    entropy[0] = challenges
+    entropy[1] = _PAIRING_SALT
+    seeded_rng = _seeded_rng()
+    count, width = params.oscillator_count, params.response_bits
+    pairs = np.empty((len(challenges), 2 * width), dtype=np.int64)
+    for row, words in zip(pairs, _pool_hash(entropy)):
+        row[:] = seeded_rng(words).permutation(count)[: 2 * width]
+    return pairs.reshape(-1, width, 2)
+
+
+def noiseless_responses(chip: ChipFingerprint, challenges, params: PufParams) -> list[int]:
+    """The noiseless response of the chip to each challenge, packed as
+    measure_response packs it: measure_response(chip, c, 0, params with
+    noise_sigma 0).bits for each c, in order.  One batched pairing
+    (_stacked_pairs) and one comparison pass serve every challenge; for a
+    single challenge, measure_response is the faster path."""
+    _check_chip(chip, params)
+    for challenge in challenges:
+        _check_challenge(challenge)
+    above = _response_bits(chip.base_frequencies, _stacked_pairs(challenges, params))
+    packed = np.packbits(above, axis=-1)
+    data, size = packed.tobytes(), packed.shape[-1]
+    shift = -params.response_bits % 8  # packbits' zero fill in each row's last byte
+    return [int.from_bytes(data[i : i + size], "big") >> shift for i in range(0, len(data), size)]
 
 
 def measure_response(

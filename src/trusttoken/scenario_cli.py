@@ -20,6 +20,16 @@ import sys
 from pathlib import Path
 
 import yaml
+from yaml.events import (
+    DocumentEndEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import ScalarNode
 
 from .errors import ConfigurationError, ParameterError, TrustTokenError
 from .policy_engine import IntegrityLevel, attribute_from_str
@@ -42,20 +52,115 @@ from .soc_sim import (
 # libyaml's parser where PyYAML has it: the same dicts, several times faster
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+_STR_TAG = "tag:yaml.org,2002:str"
+# the two keys SafeConstructor's flatten_mapping rewrites: << and =
+_KEY_TAGS = ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
+_ABSENT = object()  # no pending key of an open mapping; no memoized scalar
+
+
+class _NeedsComposer(Exception):
+    """The document holds a construct that only PyYAML's composer and
+    constructor build."""
+
+
+def _scalar(loader, event):
+    """An untagged scalar's object, as the loader would construct it."""
+    tag = loader.resolve(ScalarNode, event.value, event.implicit)
+    if tag == _STR_TAG:
+        return event.value
+    if tag in _KEY_TAGS:
+        raise _NeedsComposer
+    node = ScalarNode(tag, event.value, event.start_mark, event.end_mark, event.style)
+    try:
+        return loader.construct_object(node)
+    except ValueError:  # such as the timestamp 2001-13-01; yaml.load raises it in turn
+        raise _NeedsComposer from None
+
+
+def _build(loader):
+    """The single document of the loader's event stream, built as dicts,
+    lists and scalars with no node tree.  Raises _NeedsComposer at an
+    anchor or alias, an explicit tag, a << or = key, a collection used as
+    a key, a second document, or a scalar its constructor rejects."""
+    get_event = loader.get_event
+    scalars = {}  # (value, implicit) -> its object, for this load only
+    get_event()  # StreamStartEvent
+    if isinstance(get_event(), StreamEndEvent):  # else the DocumentStartEvent
+        return None
+    root = None
+    open_collections = []  # innermost last
+    keys = []  # the enclosing mapping's pending key of each open collection
+    key = _ABSENT
+    while True:
+        event = get_event()
+        kind = event.__class__
+        if kind is ScalarEvent:
+            if event.anchor is not None or event.tag is not None:
+                raise _NeedsComposer
+            memo = (event.value, event.implicit)
+            value = scalars.get(memo, _ABSENT)
+            if value is _ABSENT:
+                value = scalars[memo] = _scalar(loader, event)
+        elif kind is MappingStartEvent or kind is SequenceStartEvent:
+            if event.anchor is not None or event.tag is not None or (
+                open_collections and key is _ABSENT
+                and open_collections[-1].__class__ is dict
+            ):
+                raise _NeedsComposer
+            open_collections.append({} if kind is MappingStartEvent else [])
+            keys.append(key)
+            key = _ABSENT
+            continue
+        elif kind is MappingEndEvent or kind is SequenceEndEvent:
+            value = open_collections.pop()
+            key = keys.pop()
+        elif kind is DocumentEndEvent:
+            break
+        else:  # an AliasEvent
+            raise _NeedsComposer
+        if not open_collections:
+            root = value
+            continue
+        parent = open_collections[-1]
+        if parent.__class__ is list:
+            parent.append(value)
+        elif key is _ABSENT:
+            key = value
+        else:
+            parent[key] = value  # a duplicate key keeps its place and takes the last value
+            key = _ABSENT
+    if not isinstance(get_event(), StreamEndEvent):
+        raise _NeedsComposer
+    return root
+
 
 def load_config(path: Path) -> dict:
+    """The config at path as a dict.  The document is built straight from
+    the YAML loader's events (_build); a document that uses anchors or
+    aliases, an explicit tag, a << or = key, a collection as a key or a
+    second document goes through yaml.load with the same loader instead,
+    which alone handles those constructs.  Every error, of the file, the
+    parser or a scalar's constructor, is a ConfigurationError of one line."""
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     try:
-        data = yaml.load(text, Loader=_Loader)
+        loader = _Loader(text)
+        try:
+            data = _build(loader)
+        except _NeedsComposer:
+            data = yaml.load(text, Loader=_Loader)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         # one line: the loader's own marks name "<unicode string>", not the path
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark else str(path)
         problem = (getattr(exc, "problem", None) or str(exc)).partition("\n")[0]
         raise ConfigurationError(f"{where}: {problem}") from exc
+    except ValueError as exc:  # a scalar its constructor rejects, such as 2001-13-01
+        raise ConfigurationError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: top level must be a mapping")
     return data

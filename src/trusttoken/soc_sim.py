@@ -291,7 +291,7 @@ class Simulation:
         self.chip = new_chip(master_seed & (2**64 - 1), params)
         self.ip_list = tuple(enumerate(ip.integrity for ip in topology.wrapped_ips))
         self.wrappers = tuple(
-            TrustWrapper(standard_stub(ip.stub), obj, ip.integrity)
+            TrustWrapper(standard_stub(ip.stub), obj)
             for obj, ip in enumerate(topology.wrapped_ips)
         )
         self.table = None
@@ -549,7 +549,7 @@ def _run_attack(sim: Simulation, attack: AttackInjection, args: dict, pending) -
             token ^= 1 << 255 - args["flip_bit"]  # bit 0 is the most significant
         blocked = not _access(  # a forged or replayed access carries no payload
             sim, args["app"], target, args["attribute"], b"", pending,
-            SidebandSignals(token, ip_id, IntegrityLevel.HIGH),
+            SidebandSignals(token, ip_id),
         )
 
     elif attack.kind is AttackKind.TAMPER_INTEGRITY_LEVEL:

@@ -25,7 +25,7 @@ from .policy_engine import (
     SystemModel,
     evaluate,
 )
-from .puf_model import ChipFingerprint, PufParams, measure_response
+from .puf_model import ChipFingerprint, PufParams, noiseless_responses
 
 _PROVISION_SALT = 0x50524F
 
@@ -100,8 +100,13 @@ def provision(
     256-bit response (``response_bits`` must be 256), and at most 256 IPs
     take the ids 0..255.
 
-    A token collision is a logged fault; the colliding IP is re-keyed with
-    the next challenge.
+    The order is one permutation of the 65,536 challenges.  The IPs still
+    without a token take the next challenges in it, one each, and all their
+    tokens come from one noiseless_responses call.  A token collision is a
+    logged fault: the colliding IP takes the challenge after, so the
+    challenges go to the IPs in the order a one-at-a-time draw would give.
+    If the order runs out first (a chip whose responses are all alike),
+    the IP that is left without a token is a ProvisioningError.
     """
     if not ip_list:
         raise ProvisioningError("ip_list must not be empty")
@@ -116,21 +121,28 @@ def provision(
         )
 
     rng = np.random.default_rng([master_seed, epoch, _PROVISION_SALT])
-    challenge_order = iter(int(c) for c in rng.permutation(0x10000))
+    challenge_order = rng.permutation(0x10000)
     quiet = dataclasses.replace(params, noise_sigma=0.0)
 
     entries: dict[int, _Entry] = {}
     seen_tokens: set[int] = set()
-    for index, (obj, level) in enumerate(ip_list):
-        while True:
-            token = measure_response(chip, next(challenge_order), 0, quiet).bits
+    drawn = 0
+    while len(entries) < len(ip_list):
+        if drawn == len(challenge_order):
+            raise ProvisioningError(
+                f"no challenge left for object {ip_list[len(entries)][0]}: "
+                f"every one gave a token already taken"
+            )
+        batch = challenge_order[drawn : drawn + len(ip_list) - len(entries)].tolist()
+        drawn += len(batch)
+        for token in noiseless_responses(chip, batch, quiet):
+            obj, level = ip_list[len(entries)]
             if token in seen_tokens:
                 if on_fault is not None:
                     on_fault({"event": "token_collision", "object": obj})
                 continue
-            break
-        seen_tokens.add(token)
-        entries[obj] = _Entry(ip_id=index, token=token, integrity=level)
+            seen_tokens.add(token)
+            entries[obj] = _Entry(ip_id=len(entries), token=token, integrity=level)
     return TokenTable(entries)
 
 

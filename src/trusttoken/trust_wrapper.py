@@ -14,17 +14,17 @@ from operator import methodcaller
 from typing import Callable, NamedTuple, Optional
 
 from .errors import ConfigurationError, ParameterError, SimulationFault
-from .policy_engine import AccessAttribute, IntegrityLevel, ProcessId
+from .policy_engine import AccessAttribute, ProcessId
 from .token_authority import AuthorizationOutcome
 
 
 @dataclass(frozen=True)
 class SidebandSignals:
-    """The extra bus signals: 256-bit token, 8-bit id, 1-bit integrity."""
+    """The extra bus signals: 256-bit token and 8-bit id.  A target's
+    integrity level is the token table's, so no bus signal carries one."""
 
     ar_token: int
     ar_id: int
-    ar_integrity: IntegrityLevel
 
 
 class WrappedTransaction(NamedTuple):
@@ -89,18 +89,16 @@ class TrustWrapper:
     """One wrapped IP: holds the stub, its object id, and (after
     provisioning) the sideband signals its transactions carry."""
 
-    def __init__(self, stub: Callable[[bytes], bytes], obj: int,
-                 declared_integrity: IntegrityLevel):
+    def __init__(self, stub: Callable[[bytes], bytes], obj: int):
         self.stub = stub
         self.object = obj
-        self.declared_integrity = declared_integrity
         self.sideband: Optional[SidebandSignals] = None  # set by provisioning
         self.stub_invocations = 0
         self._issue_counter = 0
 
     def install_credentials(self, ip_id: int, token: int) -> None:
         """Controller-side boot push; overwritten on re-provisioning."""
-        self.sideband = SidebandSignals(token, ip_id, self.declared_integrity)
+        self.sideband = SidebandSignals(token, ip_id)
 
     def issue(
         self,

@@ -23,13 +23,14 @@ def chip(default_params):
 @pytest.fixture()
 def colliding_draws(monkeypatch):
     """Make provisioning's second PUF draw repeat its first; returns the
-    list of responses drawn."""
+    list of responses drawn, in challenge order across batches."""
     draws = []
-    measure_response = token_authority.measure_response
+    noiseless_responses = token_authority.noiseless_responses
 
-    def measure(*args):
-        draws.append(draws[0] if len(draws) == 1 else measure_response(*args))
-        return draws[-1]
+    def responses(chip, challenges, params):
+        for token in noiseless_responses(chip, challenges, params):
+            draws.append(draws[0] if len(draws) == 1 else token)
+        return draws[len(draws) - len(challenges):]
 
-    monkeypatch.setattr(token_authority, "measure_response", measure)
+    monkeypatch.setattr(token_authority, "noiseless_responses", responses)
     return draws

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from trusttoken import puf_model
-from trusttoken.puf_model import PufParams, evaluate_population
+from trusttoken import puf_model, token_authority
+from trusttoken.puf_model import PufParams, evaluate_population, new_chip, noiseless_responses
 from trusttoken.scenario_cli import bundled_config, main
 
 
@@ -121,6 +121,23 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: oscillator_count must be at most 2**16, got 1000000000\n"
         )
+
+    def test_degenerate_puf_exits_1(self, tmp_path, capsys, monkeypatch):
+        # sigma 1e-300 leaves every frequency at nominal, so every pair ties
+        # and every response is 0
+        params = PufParams(process_variation_sigma=1.0e-300)
+        assert noiseless_responses(new_chip(1, params), [0, 1, 0xFFFF], params) == [0, 0, 0]
+        # the same zeros without the pairings, which would take seconds for all 65,536 challenges
+        monkeypatch.setattr(token_authority, "noiseless_responses",
+                            lambda chip, challenges, params: [0] * len(challenges))
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(bundled_config("scenario1.cfg").read_text()
+                       + "puf: {process_variation_sigma: 1.0e-300}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            "error: no challenge left for object 1: every one gave a token already taken\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["forge_token", "tamper_interconnect_signal"])
     def test_attack_on_unknown_app_exits_1(self, tmp_path, capsys, kind):

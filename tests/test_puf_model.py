@@ -26,12 +26,14 @@ from trusttoken.puf_model import (
     _campaign_draws,
     _manufacture,
     _seed_states,
+    _stacked_pairs,
     _ziggurat,
     challenge_pairs,
     evaluate_population,
     hamming_distance,
     measure_response,
     new_chip,
+    noiseless_responses,
     reliability,
 )
 
@@ -135,6 +137,8 @@ class TestParams:
                 measure_response(chip, bad, 0, dataclasses.replace(default_params, noise_sigma=1.0))
             with pytest.raises(ParameterError, match="challenge must fit in 2 bytes"):
                 reliability(chip, bad, 2, default_params)
+            with pytest.raises(ParameterError, match="challenge must fit in 2 bytes"):
+                noiseless_responses(chip, [0, bad], default_params)
 
 
 class TestNewChip:
@@ -261,6 +265,28 @@ class TestBatchedSeeding:
         expected = reference_response(chip, challenge, measurement_seed, params)
         assert measure_response(chip, challenge, measurement_seed, params) == expected
 
+    @settings(deadline=None)  # max_examples from the profile: 100 by default
+    @given(
+        challenges=st.lists(st.sampled_from([0, 1, 0xFFFF]) | st.integers(0, 0xFFFF),
+                            max_size=20),
+        oscillator_count=st.integers(2, 600),
+        data=st.data(),
+    )
+    def test_stacked_pairs_match_challenge_pairs(self, challenges, oscillator_count, data):
+        response_bits = data.draw(st.integers(1, oscillator_count // 2), label="response_bits")
+        params = PufParams(oscillator_count=oscillator_count, response_bits=response_bits)
+        pairs = _stacked_pairs(challenges, params)
+        assert pairs.shape == (len(challenges), response_bits, 2)
+        for challenge, stacked in zip(challenges, pairs):
+            assert stacked.tolist() == challenge_pairs(challenge, params).tolist()
+
+    @pytest.mark.parametrize("params", PARAM_SETS)  # 256 bits, and 100: not whole bytes
+    @pytest.mark.parametrize("challenges", [[], [0], [0, 9, 0xFFFF, 9]])
+    def test_noiseless_responses_match_measure_response(self, params, challenges):
+        chip = new_chip(7, params)
+        expected = [reference_response(chip, c, 0, params).bits for c in challenges]
+        assert noiseless_responses(chip, challenges, params) == expected
+
     def test_package_import_leaves_numpy_random_unloaded(self):
         code = (
             "import sys, numpy; before = 'numpy.random' in sys.modules; "
@@ -375,6 +401,8 @@ class TestMeasureResponse:
             measure_response(chip, 1, 0, small)
         with pytest.raises(ParameterError, match="chip was generated with different params"):
             reliability(chip, 1, 2, small)
+        with pytest.raises(ParameterError, match="chip was generated with different params"):
+            noiseless_responses(chip, [1], small)
 
 
 class TestHammingDistance:

@@ -482,7 +482,7 @@ class TestAttackChecks:
         [
             TransactionIntent(10, "app1", "aes", R),
             WrappedTransaction(ProcessId(0, 0), 0, R, b"",
-                               SidebandSignals(1, 0, IntegrityLevel.HIGH), 1),
+                               SidebandSignals(1, 0), 1),
             AuthorizationOutcome(True, 2, serial=1),
         ],
         ids=["intent", "transaction", "outcome"],

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +17,10 @@ from trusttoken.policy_engine import (
     build_system,
     evaluate,
 )
-from trusttoken.puf_model import PufParams
+from trusttoken import token_authority
+from trusttoken.puf_model import PufParams, measure_response
 from trusttoken.token_authority import (
+    _PROVISION_SALT,
     authorize,
     provision,
     request_integrity_transition,
@@ -49,7 +52,7 @@ def release_all(t):
 
 def txn_for(creds, source_obj, target_obj, kind=AccessAttribute.READ, serial=1):
     ip_id, token = creds[source_obj]
-    sideband = SidebandSignals(token, ip_id, IntegrityLevel.HIGH)
+    sideband = SidebandSignals(token, ip_id)
     return WrappedTransaction(
         source=PROC, target=target_obj, kind=kind, payload=b"\x01",
         sideband=sideband, serial=serial,
@@ -105,6 +108,16 @@ class TestProvision:
         assert len(set(tokens)) == len(tokens)
         assert len(colliding_draws) == len(OBJECTS) + 1  # one re-key draw
 
+    def test_exhausted_challenges_name_the_object(self, chip, default_params, monkeypatch):
+        # every response alike: the first IP takes it, and every later
+        # challenge collides while the second IP waits for a token
+        monkeypatch.setattr(token_authority, "noiseless_responses",
+                            lambda chip, challenges, params: [0] * len(challenges))
+        faults = []
+        with pytest.raises(ProvisioningError, match=f"no challenge left for object {OBJECTS[1]}"):
+            provision(chip, default_params, IP_LIST, master_seed=99, on_fault=faults.append)
+        assert faults == [{"event": "token_collision", "object": OBJECTS[1]}] * 0xFFFF
+
     def test_credentials_released_once(self, table):
         table.release_credentials(OBJECTS[0])
         with pytest.raises(ParameterError, match="already released"):
@@ -134,7 +147,7 @@ class TestAuthorize:
     def test_forged_token_denied(self, table, permissive_model):
         creds = release_all(table)
         ip_id, token = creds[OBJECTS[0]]
-        sideband = SidebandSignals(token ^ 1 << 255, ip_id, IntegrityLevel.HIGH)
+        sideband = SidebandSignals(token ^ 1 << 255, ip_id)
         txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", sideband, 1)
         outcome = authorize(table, txn, permissive_model)
         assert not outcome.granted
@@ -144,7 +157,7 @@ class TestAuthorize:
         creds = release_all(table)
         _, token = creds[OBJECTS[0]]
         other_id, _ = creds[OBJECTS[1]]
-        sideband = SidebandSignals(token, other_id, IntegrityLevel.HIGH)
+        sideband = SidebandSignals(token, other_id)
         txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", sideband, 1)
         outcome = authorize(table, txn, permissive_model)
         assert outcome.reason is DenialReason.ID_MISMATCH
@@ -160,6 +173,34 @@ class TestAuthorize:
         txn = txn_for(creds, OBJECTS[0], 17)
         outcome = authorize(table, txn, permissive_model)
         assert outcome.reason is DenialReason.MALFORMED
+
+
+def reference_tokens(chip, params, n_ips, master_seed, epoch):
+    """provision's oracle: one measure_response per challenge, in the order
+    of the same seeded permutation, skipping a token already taken."""
+    order = np.random.default_rng([master_seed, epoch, _PROVISION_SALT]).permutation(0x10000)
+    tokens = []
+    for challenge in order.tolist():
+        if len(tokens) == n_ips:
+            break
+        token = measure_response(chip, challenge, 0, params).bits
+        if token not in tokens:
+            tokens.append(token)
+    return tokens
+
+
+@settings(deadline=None)  # max_examples from the profile: 100 by default
+@given(
+    master_seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+    epoch=st.integers(0, 2**40),
+    n_ips=st.integers(1, 256),
+)
+def test_provision_matches_per_challenge_oracle(chip, default_params, master_seed, epoch, n_ips):
+    ips = [(obj, IntegrityLevel.HIGH) for obj in range(n_ips)]
+    table = provision(chip, default_params, ips, master_seed, epoch)
+    credentials = [table.release_credentials(obj) for obj, _ in ips]
+    expected = reference_tokens(chip, default_params, n_ips, master_seed, epoch)
+    assert credentials == list(enumerate(expected))
 
 
 def test_authorize_is_evaluate_on_high_targets(chip, default_params):
@@ -187,7 +228,7 @@ def test_authorize_is_evaluate_on_high_targets(chip, default_params):
             for sent_id, sent_token in ((ip_id, token), (ip_id, token ^ 1 << 252), (other_id, token)):
                 for bits in range(8):
                     kind = AccessAttribute(bits)
-                    sideband = SidebandSignals(sent_token, sent_id, IntegrityLevel.HIGH)
+                    sideband = SidebandSignals(sent_token, sent_id)
                     txn = WrappedTransaction(proc, target, kind, b"", sideband, checked)
                     outcome = authorize(table, txn, model)
                     assert outcome.serial == checked
@@ -236,7 +277,7 @@ class TestIntegrityTransitions:
         _, token = creds[OBJECTS[0]]
         request_integrity_transition(table, OBJECTS[0], token, IntegrityLevel.LOW)
         # forged credentials now pass, at pass-through cost 1
-        forged = SidebandSignals(0, 200, IntegrityLevel.HIGH)
+        forged = SidebandSignals(0, 200)
         txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", forged, 1)
         outcome = authorize(table, txn, permissive_model)
         assert outcome.granted and outcome.cycle_cost == 1
@@ -355,7 +396,7 @@ def test_memoized_authorize_equals_the_uncached_decision(chip, default_params, l
                 ip_id, token = (current if creds[0] == "current" else boot)[creds[1]]
                 if creds[0] == "forged":
                     token ^= 1 << 255 - creds[2]
-                sideband = SidebandSignals(token, ip_id, IntegrityLevel.HIGH)
+                sideband = SidebandSignals(token, ip_id)
                 target = creds[1] if target is None else target
                 serial += 1
                 txn = WrappedTransaction(proc, target, kind, b"", sideband, serial)

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trusttoken.errors import ConfigurationError, ParameterError, SimulationFault
-from trusttoken.policy_engine import AccessAttribute, DenialReason, IntegrityLevel, ProcessId
+from trusttoken.policy_engine import AccessAttribute, DenialReason, ProcessId
 from trusttoken.token_authority import AuthorizationOutcome
 from trusttoken.trust_wrapper import (
     TrustWrapper,
@@ -20,7 +20,7 @@ TOKEN = int("10" * 128, 2)
 
 @pytest.fixture()
 def wrapper():
-    w = TrustWrapper(standard_stub("AES"), OBJ, IntegrityLevel.HIGH)
+    w = TrustWrapper(standard_stub("AES"), OBJ)
     w.install_credentials(3, TOKEN)
     return w
 
@@ -61,7 +61,7 @@ class TestTableStubs:
 
     @pytest.mark.parametrize("name, reference", TABLE_STUBS)
     def test_stub_invocations_count_only_granted_deliveries(self, name, reference):
-        w = TrustWrapper(standard_stub(name), OBJ, IntegrityLevel.HIGH)
+        w = TrustWrapper(standard_stub(name), OBJ)
         w.install_credentials(3, TOKEN)
         granted = [i % 3 == 0 for i in range(30)]
         for i, grant in enumerate(granted):
@@ -74,7 +74,7 @@ class TestTableStubs:
 
 class TestIssue:
     def test_unprovisioned_rejected(self):
-        w = TrustWrapper(standard_stub("AES"), OBJ, IntegrityLevel.HIGH)
+        w = TrustWrapper(standard_stub("AES"), OBJ)
         with pytest.raises(ConfigurationError):
             w.issue(OBJ, AccessAttribute.READ, b"", source=PROC)
 
