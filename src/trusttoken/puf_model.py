@@ -9,7 +9,6 @@ reliability) are computed from populations of such chips.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -86,7 +85,7 @@ class PufParams:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         # Bounds each chip's arrays, and keeps response_bits <= 2**15, so that
-        # evaluate_population's uint16 pair counts cannot wrap.
+        # evaluate_population's uint16 counts and distances stay exact.
         if self.oscillator_count > 2**16:
             raise ParameterError(
                 f"oscillator_count must be at most 2**16, got {self.oscillator_count}"
@@ -426,19 +425,49 @@ def reliability(
     """100 minus the mean fractional intra-chip Hamming distance (percent)
     of noisy remeasurements against the noiseless reference response.
     With params.noise_sigma 0 every remeasurement is the reference, so this
-    is 100.0 by definition and nothing is measured."""
+    is 100.0 by definition and nothing is measured.
+
+    Otherwise remeasurement m is measure_response(chip, challenge, m,
+    params), batched: the pairing and the reference are drawn once, the
+    seed words of every remeasurement's generator come from one _pool_hash,
+    and the noise is drawn by those generators in passes of at most
+    _PASS_OSCILLATORS oscillators (or one remeasurement when a chip has
+    more).  The fractional distances are summed in m order, as a loop of
+    measure_response calls would sum them."""
     if n_measurements < 2:
         raise ParameterError("reliability needs at least 2 measurements")
+    _check_chip(chip, params)
+    _check_challenge(challenge)
     if params.noise_sigma == 0:
-        _check_chip(chip, params)
-        _check_challenge(challenge)
         return 100.0
-    quiet = dataclasses.replace(params, noise_sigma=0.0)
-    reference = measure_response(chip, challenge, 0, quiet)
+    if n_measurements > 2**32:  # each seed m must be one entropy word
+        raise ParameterError(f"reliability takes at most 2**32 measurements, got {n_measurements}")
+    pairs = challenge_pairs(challenge, params)
+    entropy = np.zeros((_SS_POOL_SIZE, n_measurements), dtype=np.uint32)
+    entropy[0] = np.arange(n_measurements, dtype=np.uint32)  # default_rng([m, challenge, salt])
+    entropy[1] = challenge
+    entropy[2] = _MEASUREMENT_SALT
+    words = _pool_hash(entropy)
+    seeded_rng = _seeded_rng()
+    common_sigma = math.sqrt(_COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma
+    individual_sigma = math.sqrt(1.0 - _COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma
+    count = params.oscillator_count
+    per_pass = min(n_measurements, max(1, _PASS_OSCILLATORS // count))
+    observed = np.empty((per_pass, count))
+    above = np.empty((n_measurements, params.response_bits), dtype=bool)
+    for start in range(0, n_measurements, per_pass):
+        block = words[start : start + per_pass]
+        for row, seed_words in zip(observed, block):
+            rng = seeded_rng(seed_words)
+            # measure_response's draws and sums: (base + common) + individual
+            np.add(chip.base_frequencies, rng.normal(0.0, common_sigma), out=row)
+            row += rng.normal(0.0, individual_sigma, size=count)
+        above[start : start + len(block)] = _response_bits(observed[: len(block)], pairs)
+    reference = _response_bits(chip.base_frequencies, pairs)
+    width = params.response_bits
     total = 0.0
-    for m in range(n_measurements):
-        remeasured = measure_response(chip, challenge, m, params)
-        total += hamming_distance(reference, remeasured) / reference.width
+    for d in np.count_nonzero(above != reference, axis=1).tolist():
+        total += d / width
     return 100.0 - 100.0 * total / n_measurements
 
 
@@ -486,7 +515,8 @@ def evaluate_population(
 
     The chips are made together by _manufacture, in bounded passes.
     Uniqueness and the pairwise distances use noiseless measurements, one
-    row of distances per challenge; reliability uses 100 remeasurements of
+    row of distances per challenge, filled in place from one uint16 pass
+    over all chip pairs; reliability uses 100 batched remeasurements of
     chip 0 with params.noise_sigma (100% by definition, with no
     remeasurement, when it is zero).  A campaign may hold at most
     _MAX_CAMPAIGN_DISTANCES distances, which is checked before any draw.
@@ -500,22 +530,27 @@ def evaluate_population(
         )
     challenge_values, chip_seeds = _campaign_draws(n_chips, n_challenges, master_seed)
     freqs = _manufacture(chip_seeds, params)
-    first, second = np.triu_indices(n_chips, k=1)
-    distances = np.empty((n_challenges, first.size), dtype=np.int64)
+    # chip pairs (a, b) with a < b, in row-major order: itertools.combinations order
+    upper = np.arange(n_chips)[:, None] < np.arange(n_chips)
+    distances = np.empty((n_challenges, n_chips * (n_chips - 1) // 2), dtype=np.int64)
 
     ones_total = 0
     for row, cv in zip(distances, challenge_values):
         # One array pass per challenge: every chip's response bits, then the
-        # Hamming distance of every chip pair in itertools.combinations order,
-        # from |a xor b| = |a| + |b| - 2 |a and b|.  einsum keeps the product
-        # off BLAS: its worker threads made a 100-chip campaign about 15%
-        # slower on a 2-vCPU host.  The products are counted in uint16, which
-        # cannot wrap: a count is at most response_bits <= 2**15 (PufParams).
+        # Hamming distance of every chip pair from |a xor b| = |a| + |b| -
+        # 2 |a and b|.  einsum keeps the product off BLAS: its worker threads
+        # made a 100-chip campaign about 15% slower on a 2-vCPU host.  All of
+        # it is uint16, in place: a count or a distance is at most
+        # response_bits <= 2**15 (PufParams), so the wrapping arithmetic
+        # leaves each distance exact.
         bits = _response_bits(freqs, challenge_pairs(cv, params)).astype(np.uint16)
-        ones = bits.sum(axis=1, dtype=np.int64)
-        common = np.einsum("ik,jk->ij", bits, bits)
-        row[:] = ones[first] + ones[second] - 2 * common[first, second].astype(np.int64)
-        ones_total += int(ones.sum())
+        ones = bits.sum(axis=1, dtype=np.uint16)
+        pair_bits = np.einsum("ik,jk->ij", bits, bits)
+        pair_bits *= 2
+        np.subtract(ones[:, None], pair_bits, out=pair_bits)
+        pair_bits += ones
+        row[:] = pair_bits[upper]
+        ones_total += int(ones.sum(dtype=np.int64))
     distances.flags.writeable = False
 
     width = params.response_bits

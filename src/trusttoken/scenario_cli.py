@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import operator
 import sys
@@ -56,6 +55,8 @@ _STR_TAG = "tag:yaml.org,2002:str"
 # the two keys SafeConstructor's flatten_mapping rewrites: << and =
 _KEY_TAGS = ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value")
 _ABSENT = object()  # no pending key of an open mapping; no memoized scalar
+# hamming.csv rows per write: about 110 kB of text
+_CSV_BLOCK_ROWS = 4096
 
 
 class _NeedsComposer(Exception):
@@ -282,6 +283,12 @@ def cmd_run(config_path: str, mode_override=None, seed_override=None, out_path="
 
 def cmd_puf_eval(chips: int, challenges: int, seed: int, out_path: str,
                  noise_sigma: float | None = None) -> int:
+    """Run a chips x challenges campaign (evaluate_population) and write
+    metrics.json and hamming.csv into out_path.  hamming.csv is written in
+    blocks of about _CSV_BLOCK_ROWS rows, so that beside the campaign's
+    distance array the writer holds one block; it makes no str per chip
+    pair and no list of the whole array.  Returns the exit code: 1 on a
+    parameter error, else 0."""
     try:
         params = PufParams()
         if noise_sigma is not None:
@@ -309,15 +316,29 @@ def cmd_puf_eval(chips: int, challenges: int, seed: int, out_path: str,
         "fraction_in_40_60_band": metrics.fraction_in_band(),
     }
     (out / "metrics.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    # The rows csv.writer would write (no field needs quoting), one write per challenge.
-    width = metrics.response_bits
+    # The rows csv.writer would write (no field needs quoting).  The rows
+    # (a, b) of one challenge and one first chip a are one join of strings
+    # made once per chip, once per challenge and once per distance value,
+    # and the joins go out in blocks of about _CSV_BLOCK_ROWS rows.
+    n_chips, width = metrics.n_chips, metrics.response_bits
     tails = [f"{d},{d / width:.6f}\r\n" for d in range(width + 1)]
-    pairs = [f"{a},{b}," for a, b in itertools.combinations(range(metrics.n_chips), 2)]
+    chips = [f"{b}," for b in range(n_chips)]
     with (out / "hamming.csv").open("w", newline="") as fh:
         fh.write("challenge,chip_a,chip_b,distance_bits,distance_frac\r\n")
-        for c, row in zip(metrics.challenges, metrics.distances.tolist()):
+        block, rows = [], 0
+        for c, row in zip(metrics.challenges, metrics.distances):
             pre = f"{c},"
-            fh.write(pre + pre.join(map(operator.add, pairs, map(tails.__getitem__, row))))
+            stop = 0
+            for a in range(n_chips - 1):
+                start, stop = stop, stop + n_chips - 1 - a
+                head = pre + chips[a]
+                block += head, head.join(map(operator.add, chips[a + 1 :],
+                                             map(tails.__getitem__, row[start:stop].tolist())))
+                rows += stop - start
+                if rows >= _CSV_BLOCK_ROWS:
+                    fh.write("".join(block))
+                    block, rows = [], 0
+        fh.write("".join(block))
     print(
         f"uniqueness={metrics.uniqueness_pct:.2f}% "
         f"randomness={metrics.randomness_pct:.2f}% "
@@ -358,6 +379,10 @@ def main(argv=None) -> int:
         return cmd_puf_eval(args.chips, args.challenges, args.seed, args.out, args.noise_sigma)
     except OSError as exc:  # the output directory or a file in it cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -314,6 +314,7 @@ class Simulation:
             self.master_seed,
             epoch=self.epoch,
             on_fault=faults.append,
+            object_names=self.object_names,
         )
         for fault in faults:
             self.log.append(self.cycle, "controller", "fault", **fault)

@@ -28,6 +28,8 @@ from .policy_engine import (
 from .puf_model import ChipFingerprint, PufParams, noiseless_responses
 
 _PROVISION_SALT = 0x50524F
+# The most challenges one re-key batch draws: their pairings take 4 MB.
+_MAX_REKEY_BATCH = 1024
 
 
 class AuthorizationOutcome(NamedTuple):
@@ -92,6 +94,7 @@ def provision(
     master_seed: int,
     epoch: int = 0,
     on_fault=None,
+    object_names: Optional[Sequence[str]] = None,
 ) -> TokenTable:
     """Boot-stage provisioning: draw a distinct challenge per IP in seeded
     random order, derive each token as the noiseless PUF response, and
@@ -100,13 +103,16 @@ def provision(
     256-bit response (``response_bits`` must be 256), and at most 256 IPs
     take the ids 0..255.
 
-    The order is one permutation of the 65,536 challenges.  The IPs still
-    without a token take the next challenges in it, one each, and all their
-    tokens come from one noiseless_responses call.  A token collision is a
-    logged fault: the colliding IP takes the challenge after, so the
-    challenges go to the IPs in the order a one-at-a-time draw would give.
-    If the order runs out first (a chip whose responses are all alike),
-    the IP that is left without a token is a ProvisioningError.
+    The order is one permutation of the 65,536 challenges.  The first
+    batch of challenges, one per IP, takes all its tokens from one
+    noiseless_responses call.  A token collision is a logged fault: the
+    colliding IP takes the challenge after, so the challenges go to the IPs
+    in the order a one-at-a-time draw would give, and any challenge left
+    over in a batch goes to no IP.  Each re-key batch is twice the size of
+    the one before, up to _MAX_REKEY_BATCH challenges, so that a chip whose
+    responses are all alike runs out of the order in few calls.  The IP
+    that is then left without a token is a ProvisioningError, which names
+    it as object_names[obj] when names are given.
     """
     if not ip_list:
         raise ProvisioningError("ip_list must not be empty")
@@ -126,15 +132,17 @@ def provision(
 
     entries: dict[int, _Entry] = {}
     seen_tokens: set[int] = set()
-    drawn = 0
+    drawn, size = 0, len(ip_list)
     while len(entries) < len(ip_list):
         if drawn == len(challenge_order):
+            obj = ip_list[len(entries)][0]
+            name = obj if object_names is None else repr(object_names[obj])
             raise ProvisioningError(
-                f"no challenge left for object {ip_list[len(entries)][0]}: "
-                f"every one gave a token already taken"
+                f"no challenge left for object {name}: every one gave a token already taken"
             )
-        batch = challenge_order[drawn : drawn + len(ip_list) - len(entries)].tolist()
+        batch = challenge_order[drawn : drawn + size].tolist()
         drawn += len(batch)
+        size = min(2 * size, _MAX_REKEY_BATCH)
         for token in noiseless_responses(chip, batch, quiet):
             obj, level = ip_list[len(entries)]
             if token in seen_tokens:
@@ -143,6 +151,8 @@ def provision(
                 continue
             seen_tokens.add(token)
             entries[obj] = _Entry(ip_id=len(entries), token=token, integrity=level)
+            if len(entries) == len(ip_list):
+                break
     return TokenTable(entries)
 
 

@@ -23,14 +23,15 @@ def chip(default_params):
 @pytest.fixture()
 def colliding_draws(monkeypatch):
     """Make provisioning's second PUF draw repeat its first; returns the
-    list of responses drawn, in challenge order across batches."""
-    draws = []
+    list of batches of challenges drawn, in order."""
+    batches, draws = [], []
     noiseless_responses = token_authority.noiseless_responses
 
     def responses(chip, challenges, params):
+        batches.append(list(challenges))
         for token in noiseless_responses(chip, challenges, params):
             draws.append(draws[0] if len(draws) == 1 else token)
         return draws[len(draws) - len(challenges):]
 
     monkeypatch.setattr(token_authority, "noiseless_responses", responses)
-    return draws
+    return batches

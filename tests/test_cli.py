@@ -2,10 +2,11 @@ import csv
 import io
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
-from trusttoken import puf_model, token_authority
+from trusttoken import puf_model, scenario_cli, token_authority
 from trusttoken.puf_model import PufParams, evaluate_population, new_chip, noiseless_responses
 from trusttoken.scenario_cli import bundled_config, main
 
@@ -135,7 +136,7 @@ class TestRun:
                        + "puf: {process_variation_sigma: 1.0e-300}\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
         assert capsys.readouterr().err == (
-            "error: no challenge left for object 1: every one gave a token already taken\n"
+            "error: no challenge left for object 'des': every one gave a token already taken\n"
         )
         assert not (tmp_path / "o").exists()
 
@@ -455,17 +456,50 @@ class TestPufEval:
         for row in rows:
             assert 0 <= int(row["distance_bits"]) <= 256
 
-    def test_hamming_csv_is_what_csv_writer_writes(self, tmp_path):
+    @pytest.mark.parametrize(
+        "chips, challenges, block_rows",
+        [
+            (2, 3, None),  # one row per challenge
+            (3, 3, None),
+            (6, 3, None),
+            (6, 3, 1),  # a write per first chip
+            (6, 3, 7),  # blocks that span first chips and challenges
+            (91, 1, None),  # 4095 rows: one short of a block
+            (92, 1, None),  # 4186 rows: a block, then the rest
+        ],
+    )
+    def test_hamming_csv_is_what_csv_writer_writes(self, tmp_path, monkeypatch, chips, challenges,
+                                                   block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(scenario_cli, "_CSV_BLOCK_ROWS", block_rows)
         out = tmp_path / "puf"
-        assert run_cli("puf-eval", "--chips", "6", "--challenges", "3", "--seed", "4", "--out", str(out)) == 0
+        argv = ("puf-eval", "--chips", str(chips), "--challenges", str(challenges), "--seed", "4")
+        assert run_cli(*argv, "--out", str(out)) == 0
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["challenge", "chip_a", "chip_b", "distance_bits", "distance_frac"])
-        metrics = evaluate_population(6, 3, 4, PufParams())
+        metrics = evaluate_population(chips, challenges, 4, PufParams())
         for challenge, row in zip(metrics.challenges, metrics.distances.tolist(), strict=True):
-            for (a, b), d in zip(itertools.combinations(range(6), 2), row, strict=True):
+            for (a, b), d in zip(itertools.combinations(range(chips), 2), row, strict=True):
                 writer.writerow([challenge, a, b, d, f"{d / 256:.6f}"])
         assert (out / "hamming.csv").read_bytes() == expected.getvalue().encode()
+
+    def test_memory_is_bounded_per_distance(self, tmp_path):
+        # first-use imports and tables are not part of a campaign's cost
+        assert run_cli("puf-eval", "--chips", "2", "--challenges", "1", "--out", str(tmp_path)) == 0
+        chips = 300
+        distances = chips * (chips - 1) // 2
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            argv = ("puf-eval", "--chips", str(chips), "--challenges", "1", "--out", str(tmp_path))
+            assert run_cli(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # about 67 bytes a distance here, most of it the chips' frequencies; a
+        # str per chip pair, or the distances as lists, took about 190
+        assert peak < 100 * distances
 
     def test_too_few_chips(self, tmp_path):
         assert run_cli("puf-eval", "--chips", "1", "--out", str(tmp_path)) == 1
@@ -502,3 +536,22 @@ def test_out_that_cannot_be_a_directory_exits_1(tmp_path, capsys, argv, under):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 14.9 GiB for an array"])
+@pytest.mark.parametrize(
+    "argv, target",
+    [(("run", "--config", str(bundled_config("smoke.cfg"))), "load_config"),
+     (("puf-eval", "--chips", "2", "--challenges", "1"), "evaluate_population")],
+    ids=["run", "puf-eval"],
+)
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch, argv, target, message):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(scenario_cli, target, exhausted)
+    assert run_cli(*argv, "--out", str(tmp_path / "o")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory{': ' + message if message else ''}\n"
+    assert not (tmp_path / "o").exists()

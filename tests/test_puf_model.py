@@ -461,6 +461,39 @@ class TestReliability:
         assert reliability(chip, 2, 100, default_params) == 100.0
         assert calls == []
 
+    def test_noisy_batch_calls_no_measure_response(self, chip, monkeypatch):
+        params = PufParams(noise_sigma=1e5)
+        expected = reference_reliability(chip, 2, 20, params)
+        monkeypatch.setattr(puf_model, "measure_response", lambda *args: pytest.fail("measured"))
+        assert reliability(chip, 2, 20, params) == expected
+
+    def test_measurement_count_bounded_before_any_draw(self, chip, monkeypatch):
+        # each measurement seed must be one entropy word of the batched hash
+        monkeypatch.setattr(puf_model, "_pool_hash", lambda *args: pytest.fail("hashed"))
+        with pytest.raises(ParameterError, match=r"at most 2\*\*32 measurements"):
+            reliability(chip, 2, 2**32 + 1, PufParams(noise_sigma=1e5))
+
+    @settings(deadline=None)  # max_examples from the profile: 100 by default
+    @given(
+        chip_seed=st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1),
+        challenge=st.sampled_from([0, 0xFFFF]) | st.integers(0, 0xFFFF),
+        # a pass holds 8 remeasurements of a default chip and 20 of the
+        # other: counts below, at and above it, dividing it and not
+        n_measurements=st.integers(2, 300),
+        # from tiny up to just under process_variation_sigma (2e6)
+        noise_sigma=st.sampled_from([5e-324, 1e-300, 1.0, math.nextafter(2e6, 0.0)])
+        | st.floats(5e-324, 2e6, exclude_max=True),
+        # at width 100 a sum of fractional distances depends on its order
+        params=st.sampled_from([PufParams(), PufParams(oscillator_count=200, response_bits=100)]),
+    )
+    def test_batched_reliability_matches_reference(
+        self, chip_seed, challenge, n_measurements, noise_sigma, params
+    ):
+        params = dataclasses.replace(params, noise_sigma=noise_sigma)
+        chip = new_chip(chip_seed, params)
+        expected = reference_reliability(chip, challenge, n_measurements, params)
+        assert reliability(chip, challenge, n_measurements, params) == expected
+
     @pytest.mark.parametrize("noise_sigma", [0.0, 1e5])
     def test_matches_remeasurement_loop(self, noise_sigma):
         params = PufParams(noise_sigma=noise_sigma)

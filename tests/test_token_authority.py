@@ -106,17 +106,41 @@ class TestProvision:
         assert faults == [{"event": "token_collision", "object": OBJECTS[1]}]
         tokens = [tok for _, tok in release_all(t).values()]
         assert len(set(tokens)) == len(tokens)
-        assert len(colliding_draws) == len(OBJECTS) + 1  # one re-key draw
+        # one re-key batch, twice the first's size; only its first challenge is used
+        assert [len(batch) for batch in colliding_draws] == [len(OBJECTS), 2 * len(OBJECTS)]
+        order = np.random.default_rng([99, 0, _PROVISION_SALT]).permutation(0x10000)
+        assert sum(colliding_draws, []) == order[: 3 * len(OBJECTS)].tolist()
 
     def test_exhausted_challenges_name_the_object(self, chip, default_params, monkeypatch):
         # every response alike: the first IP takes it, and every later
         # challenge collides while the second IP waits for a token
+        batches = []
+
+        def alike(chip, challenges, params):
+            batches.append(challenges)
+            return [0] * len(challenges)
+
+        monkeypatch.setattr(token_authority, "noiseless_responses", alike)
+        faults = []
+        names = ["aes", "des", "trng", "rsa"]
+        with pytest.raises(ProvisioningError, match="^no challenge left for object 'des': "):
+            provision(chip, default_params, IP_LIST, master_seed=99, on_fault=faults.append,
+                      object_names=names)
+        assert faults == [{"event": "token_collision", "object": OBJECTS[1]}] * 0xFFFF
+        # batches of 4, 8, ..., 512 challenges, then of 1024 to the end of the
+        # order: 72 calls, where a batch of one challenge per IP left took 21,845
+        sizes = [4 << k for k in range(8)] + [1024] * 63 + [4]
+        assert [len(batch) for batch in batches] == sizes
+        order = np.random.default_rng([99, 0, _PROVISION_SALT]).permutation(0x10000)
+        assert sum(batches, []) == order.tolist()
+
+    def test_exhausted_challenges_name_the_object_by_id_without_names(
+        self, chip, default_params, monkeypatch
+    ):
         monkeypatch.setattr(token_authority, "noiseless_responses",
                             lambda chip, challenges, params: [0] * len(challenges))
-        faults = []
-        with pytest.raises(ProvisioningError, match=f"no challenge left for object {OBJECTS[1]}"):
-            provision(chip, default_params, IP_LIST, master_seed=99, on_fault=faults.append)
-        assert faults == [{"event": "token_collision", "object": OBJECTS[1]}] * 0xFFFF
+        with pytest.raises(ProvisioningError, match=f"^no challenge left for object {OBJECTS[1]}: "):
+            provision(chip, default_params, IP_LIST, master_seed=99)
 
     def test_credentials_released_once(self, table):
         table.release_credentials(OBJECTS[0])
