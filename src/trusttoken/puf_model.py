@@ -532,7 +532,7 @@ def evaluate_population(
     freqs = _manufacture(chip_seeds, params)
     # chip pairs (a, b) with a < b, in row-major order: itertools.combinations order
     upper = np.arange(n_chips)[:, None] < np.arange(n_chips)
-    distances = np.empty((n_challenges, n_chips * (n_chips - 1) // 2), dtype=np.int64)
+    distances = np.empty((n_challenges, n_chips * (n_chips - 1) // 2), dtype=np.int32)
 
     ones_total = 0
     for row, cv in zip(distances, challenge_values):
@@ -559,7 +559,7 @@ def evaluate_population(
         n_chips=n_chips,
         n_challenges=n_challenges,
         response_bits=width,
-        uniqueness_pct=100.0 * (int(distances.sum()) / width) / distances.size,
+        uniqueness_pct=100.0 * (int(distances.sum(dtype=np.int64)) / width) / distances.size,
         randomness_pct=100.0 * ones_total / width / (n_chips * n_challenges),
         reliability_pct=rel,
         challenges=tuple(challenge_values),

@@ -35,6 +35,7 @@ from .puf_model import PufParams, new_chip
 from .token_authority import (
     AuthorizationOutcome,
     authorize,
+    check_controller_fits,
     provision,
     request_integrity_transition,
 )
@@ -251,8 +252,8 @@ class EventLog:
 
 
 class Simulation:
-    """Built SoC instance: PUF chip, provisioned controller, wrappers, and
-    the sealed policy model.  Owned and driven serially by :func:`run`."""
+    """Built SoC instance: wrappers, the sealed policy model and, in trusttoken
+    mode, the PUF chip and provisioned controller.  Driven once by :func:`run`."""
 
     def __init__(self, topology: Topology, master_seed: int, mode: str, params: PufParams):
         self.topology = topology
@@ -277,9 +278,10 @@ class Simulation:
         objects = range(len(self.object_names))
 
         # matrices: each app gets full access to its mapped IP, nothing else
+        none_row = (AccessAttribute.NONE,) * len(objects)
         matrices = [
             AccessMatrix(user, tuple(
-                tuple(FULL_ACCESS if obj == mapped else AccessAttribute.NONE for obj in objects)
+                none_row[:mapped] + (FULL_ACCESS,) + none_row[mapped + 1:]
                 for mapped in (self.objects[topology.app_to_ip[app]] for app in cpu.apps)
             ))
             for user, cpu in enumerate(topology.cpus)
@@ -287,8 +289,8 @@ class Simulation:
         model = build_system(range(len(topology.cpus)), self.apps.values(), objects, matrices)
         self.model: SystemModel = model.sealed()
 
-        # PUF chip + provisioning
-        self.chip = new_chip(master_seed & (2**64 - 1), params)
+        # PUF chip + provisioning, in trusttoken mode only
+        self.chip = new_chip(master_seed & (2**64 - 1), params) if mode == MODE_TRUSTTOKEN else None
         self.ip_list = tuple(enumerate(ip.integrity for ip in topology.wrapped_ips))
         self.wrappers = tuple(
             TrustWrapper(standard_stub(ip.stub), obj)
@@ -306,20 +308,23 @@ class Simulation:
     # -- construction helpers ---------------------------------------------
 
     def _provision(self, initial: bool) -> None:
-        faults = []
-        self.table = provision(
-            self.chip,
-            self.params,
-            self.ip_list,
-            self.master_seed,
-            epoch=self.epoch,
-            on_fault=faults.append,
-            object_names=self.object_names,
-        )
-        for fault in faults:
-            self.log.append(self.cycle, "controller", "fault", **fault)
+        if self.mode == MODE_BASELINE:  # no controller: tied-off ar_token 0, ar_id the object id
+            check_controller_fits(len(self.ip_list), self.params)
+        else:
+            faults = []
+            self.table = provision(
+                self.chip,
+                self.params,
+                self.ip_list,
+                self.master_seed,
+                epoch=self.epoch,
+                on_fault=faults.append,
+                object_names=self.object_names,
+            )
+            for fault in faults:
+                self.log.append(self.cycle, "controller", "fault", **fault)
         for obj, _level in self.ip_list:
-            ip_id, token = self.table.release_credentials(obj)
+            ip_id, token = (obj, 0) if self.table is None else self.table.release_credentials(obj)
             self.wrappers[obj].install_credentials(ip_id, token)
             if initial:
                 # boot-time credentials that forge, replay and stolen-token attacks reuse
@@ -413,7 +418,8 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
             _access(sim, entry.app, entry.target, entry.attribute, entry.payload, pending)
         elif isinstance(entry, ReprovisionEvent):
             sim.epoch += 1
-            sim._provision(initial=False)
+            if sim.mode == MODE_TRUSTTOKEN:
+                sim._provision(initial=False)
             sim.log.append(cycle, "controller", "reprovision", epoch=sim.epoch)
         else:
             _run_attack(sim, entry.attack, entry.args, pending)

@@ -87,6 +87,17 @@ class TokenTable:
         return entry.ip_id, entry.token
 
 
+def check_controller_fits(n_ips: int, params: PufParams) -> None:
+    """Reject more than 256 IPs (8-bit ar_id) or tokens of other than 256
+    bits.  provision and a baseline SoC, which provisions nothing, call it."""
+    if n_ips > 256:
+        raise ProvisioningError("at most 256 IPs per controller (8-bit ar_id)")
+    if params.response_bits != 256:
+        raise ParameterError(
+            f"token must be exactly 256 bits, got response_bits={params.response_bits}"
+        )
+
+
 def provision(
     chip: ChipFingerprint,
     params: PufParams,
@@ -119,12 +130,7 @@ def provision(
     objects = [obj for obj, _ in ip_list]
     if len(set(objects)) != len(objects):
         raise ProvisioningError("duplicate object in ip_list")
-    if len(ip_list) > 256:
-        raise ProvisioningError("at most 256 IPs per controller (8-bit ar_id)")
-    if params.response_bits != 256:
-        raise ParameterError(
-            f"token must be exactly 256 bits, got response_bits={params.response_bits}"
-        )
+    check_controller_fits(len(ip_list), params)
 
     rng = np.random.default_rng([master_seed, epoch, _PROVISION_SALT])
     challenge_order = rng.permutation(0x10000)

@@ -2,10 +2,15 @@ import csv
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import trusttoken
 from trusttoken import puf_model, scenario_cli, token_authority
 from trusttoken.puf_model import PufParams, evaluate_population, new_chip, noiseless_responses
 from trusttoken.scenario_cli import bundled_config, main
@@ -134,11 +139,60 @@ class TestRun:
         cfg = tmp_path / "flat.cfg"
         cfg.write_text(bundled_config("scenario1.cfg").read_text()
                        + "puf: {process_variation_sigma: 1.0e-300}\n")
-        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        out = str(tmp_path / "o")
+        assert run_cli("run", "--config", str(cfg), "--mode", "trusttoken", "--out", out) == 1
         assert capsys.readouterr().err == (
             "error: no challenge left for object 'des': every one gave a token already taken\n"
         )
         assert not (tmp_path / "o").exists()
+
+    def test_degenerate_puf_runs_in_baseline_mode(self, tmp_path, monkeypatch):
+        # a baseline SoC has no token controller, so a chip that could not
+        # key one does not matter: the run is the run without the puf section
+        monkeypatch.setattr(token_authority, "noiseless_responses",
+                            lambda *args: pytest.fail("baseline mode drew a token"))
+        text = bundled_config("scenario1.cfg").read_text()
+        outputs = []
+        for name, puf in [("flat", "puf: {process_variation_sigma: 1.0e-300}\n"), ("plain", "")]:
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text + puf)
+            out = tmp_path / name
+            assert run_cli("run", "--config", str(cfg), "--mode", "trustzone-baseline",
+                           "--out", str(out)) == 0
+            outputs.append([(out / f).read_bytes() for f in ("events.log", "report.json")])
+        assert outputs[0] == outputs[1]
+        assert b"token_collision" not in outputs[0][0]
+
+    @pytest.mark.parametrize("mode", ["trusttoken", "trustzone-baseline"])
+    @pytest.mark.parametrize("config, message", [
+        ("topology:\n  cpus: [{name: c, apps: [a]}]\n"
+         "  ips: [" + ", ".join(f"{{stub: AES, object: o{i}}}" for i in range(257)) + "]\n"
+         "  app_map: {a: o0}\nscript: []\n",
+         "at most 256 IPs per controller (8-bit ar_id)"),
+        (bundled_config("smoke.cfg").read_text() + "puf: {response_bits: 128}\n",
+         "token must be exactly 256 bits, got response_bits=128"),
+    ], ids=["257-ips", "128-bit-tokens"])
+    def test_controller_limits_hold_in_both_modes(self, tmp_path, capsys, mode, config, message):
+        cfg = tmp_path / "limits.cfg"
+        cfg.write_text(config)
+        assert run_cli("run", "--config", str(cfg), "--mode", mode, "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_baseline_run_leaves_numpy_random_unloaded(self, tmp_path):
+        code = (
+            "import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "from trusttoken.scenario_cli import bundled_config, main; "
+            "rc = main(['run', '--config', str(bundled_config('scenario3.cfg')), "
+            "'--mode', 'trustzone-baseline', '--out', sys.argv[1]]); "
+            "print(rc, before, 'numpy.random' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(trusttoken.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")],
+                             env=env, capture_output=True, text=True, check=True)
+        rc, before, after = out.stdout.split()[-3:]
+        assert rc == "2"  # scenario3 breaches the baseline
+        assert after == before  # numpy < 2 imports numpy.random itself
 
     @pytest.mark.parametrize("kind", ["forge_token", "tamper_interconnect_signal"])
     def test_attack_on_unknown_app_exits_1(self, tmp_path, capsys, kind):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from log_oracle import records
 from policy_helpers import integrity_of
 
-from trusttoken import soc_sim
+from trusttoken import soc_sim, token_authority
 from trusttoken.errors import ConfigurationError, SimulationFault, TrustTokenError
 from trusttoken.policy_engine import AccessAttribute, IntegrityLevel, ProcessId
 from trusttoken.scenario_cli import (
@@ -21,6 +21,7 @@ from trusttoken.scenario_cli import (
 )
 from trusttoken.soc_sim import (
     MODE_BASELINE,
+    MODE_TRUSTTOKEN,
     MODES,
     AttackInjection,
     AttackKind,
@@ -178,6 +179,38 @@ class TestBuild:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
             build(paper_topology(), seed)
+
+
+class TestBaselineHasNoController:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_only_trusttoken_builds_a_chip_and_provisions(self, mode):
+        script = [ReprovisionEvent(5), TransactionIntent(6, "app1", "aes", R), ReprovisionEvent(9)]
+        with mock.patch.object(soc_sim, "new_chip", wraps=soc_sim.new_chip) as new_chip, \
+                mock.patch.object(soc_sim, "provision", wraps=soc_sim.provision) as provision, \
+                mock.patch.object(token_authority, "noiseless_responses",
+                                  wraps=token_authority.noiseless_responses) as responses:
+            sim = build(paper_topology(), 3, mode=mode)
+            log = run(sim, script, 100)
+        calls = (new_chip.call_count, provision.call_count, responses.call_count)
+        assert calls == ((1, 3, 3) if mode == MODE_TRUSTTOKEN else (0, 0, 0))
+        assert [r for r in records(log) if r.kind == "reprovision"] == [
+            (5, "controller", "reprovision", {"epoch": 1}),
+            (9, "controller", "reprovision", {"epoch": 2}),
+        ]
+        assert sim.epoch == 2
+
+    def test_baseline_sideband_is_tied_off_and_forged_from(self):
+        sim = build(paper_topology(), 3, mode=MODE_BASELINE)
+        assert sim.chip is None and sim.table is None
+        assert [w.sideband for w in sim.wrappers] == [SidebandSignals(0, obj) for obj in range(4)]
+        sent = []
+        authorize = sim._authorize
+        sim._authorize = lambda txn: sent.append(txn.sideband) or authorize(txn)
+        attack = AttackInjection(AttackKind.FORGE_TOKEN, 10,
+                                 {"app": "app4", "target": "rsa", "flip_bit": 255})
+        summary = report(run(sim, [attack], 100))
+        assert sent == [SidebandSignals(1, 3)]
+        assert summary.verdict == "BREACHED"  # baseline reads no token
 
 
 class TestRun:

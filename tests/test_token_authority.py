@@ -1,10 +1,12 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from policy_helpers import integrity_of
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from policy_helpers import StaticCredentialStore, integrity_of
 
 from trusttoken.errors import ParameterError, ProvisioningError
 from trusttoken.policy_engine import (
@@ -18,7 +20,7 @@ from trusttoken.policy_engine import (
     evaluate,
 )
 from trusttoken import token_authority
-from trusttoken.puf_model import PufParams, measure_response
+from trusttoken.puf_model import PufParams, measure_response, new_chip
 from trusttoken.token_authority import (
     _PROVISION_SALT,
     authorize,
@@ -430,3 +432,112 @@ def test_memoized_authorize_equals_the_uncached_decision(chip, default_params, l
                 assert outcome.cycle_cost in (1, 2)
                 assert (outcome.granted, outcome.cycle_cost, outcome.reason) == expected, change
                 assert outcome.serial == serial
+
+
+_MACHINE_PARAMS = PufParams()
+_MACHINE_CHIP = new_chip(7, _MACHINE_PARAMS)
+
+
+@functools.lru_cache(maxsize=None)
+def _epoch_tokens(epoch):
+    return tuple(reference_tokens(_MACHINE_CHIP, _MACHINE_PARAMS, len(OBJECTS), 5, epoch))
+
+
+class TokenTableMachine(RuleBasedStateMachine):
+    """A TokenTable against a dict model: object -> its ip id, token,
+    integrity level and whether its credentials were released, and the set
+    of keys the memo of decisions should hold.  A reprovision replaces the
+    table with the next epoch's; a granted transition and a call under
+    another policy clear the memo, and nothing else does."""
+
+    @initialize(levels=st.lists(st.sampled_from(IntegrityLevel), min_size=4, max_size=4),
+                models=st.tuples(_models, _models))
+    def boot(self, levels, models):
+        self.levels = levels
+        self.models = models
+        self.epoch = 0
+        self.reprovision_table()
+        self.boot_creds = {obj: (e["ip_id"], e["token"]) for obj, e in self.entries.items()}
+
+    def reprovision_table(self):
+        ip_list = list(zip(OBJECTS, self.levels))
+        self.table = provision(_MACHINE_CHIP, _MACHINE_PARAMS, ip_list, master_seed=5,
+                               epoch=self.epoch)
+        tokens = _epoch_tokens(self.epoch)
+        self.entries = {obj: {"ip_id": i, "token": tokens[i], "level": level, "released": False}
+                        for i, (obj, level) in enumerate(ip_list)}
+        self.memo, self.policy = set(), None  # a new table starts with an empty memo
+
+    @rule()
+    def reprovision(self):
+        self.epoch += 1  # the new table takes the boot levels, as Simulation's does
+        self.reprovision_table()
+
+    @rule(obj=st.sampled_from(OBJECTS + [17]))
+    def release(self, obj):
+        entry = self.entries.get(obj)
+        if entry is None or entry["released"]:
+            with pytest.raises(ParameterError):
+                self.table.release_credentials(obj)
+        else:
+            assert self.table.release_credentials(obj) == (entry["ip_id"], entry["token"])
+            entry["released"] = True
+
+    @rule(obj=st.sampled_from(OBJECTS + [17]), presented=st.sampled_from(["current", "boot", "zero"]),
+          level=st.sampled_from(IntegrityLevel))
+    def transition(self, obj, presented, level):
+        entry = self.entries.get(obj)
+        token = 0
+        if presented == "boot" and obj in self.boot_creds:
+            token = self.boot_creds[obj][1]
+        elif presented == "current" and entry is not None:
+            token = entry["token"]
+        outcome = request_integrity_transition(self.table, obj, token, level)
+        if entry is None:
+            expected = (False, 2, DenialReason.MALFORMED)
+        elif token != entry["token"]:
+            expected = (False, 2, DenialReason.TOKEN_MISMATCH)
+        else:
+            expected = (True, 2, None)
+            entry["level"] = level
+            self.memo.clear()
+        assert (outcome.granted, outcome.cycle_cost, outcome.reason) == expected
+
+    @rule(access=_accesses, policy=st.sampled_from([0, 1]))
+    def authorize(self, access, policy):
+        proc, creds, target, kind = access
+        ip_id, token = (self.boot_creds[creds[1]] if creds[0] == "boot" else
+                        (self.entries[creds[1]]["ip_id"], self.entries[creds[1]]["token"]))
+        if creds[0] == "forged":
+            token ^= 1 << 255 - creds[2]
+        target = creds[1] if target is None else target
+        model = self.models[policy]
+        outcome = authorize(self.table, WrappedTransaction(
+            proc, target, kind, b"", SidebandSignals(token, ip_id), 9), model)
+        if model is not self.policy:
+            self.memo.clear()
+            self.policy = model
+        self.memo.add((proc, target, kind, token, ip_id))
+        entry = self.entries.get(target)
+        if entry is not None and entry["level"] is IntegrityLevel.LOW:
+            expected = (True, 1, None)
+        else:
+            store = StaticCredentialStore(
+                {obj: (e["ip_id"], e["token"]) for obj, e in self.entries.items()})
+            reason = evaluate(model, AccessRequest(proc.owner, proc, target, token, ip_id, kind),
+                              store)
+            expected = (reason is None, 2, reason)
+        assert tuple(outcome) == (*expected, 9)
+
+    @invariant()
+    def table_matches_the_model(self):
+        for obj, entry in self.entries.items():
+            assert self.table.check_credentials(obj, entry["ip_id"], entry["token"]) is None
+            assert integrity_of(self.table, obj) is entry["level"]
+        assert self.table.check_credentials(17, 0, 0) is DenialReason.MALFORMED
+        assert set(self.table._decisions) == self.memo
+        assert self.table._policy is self.policy
+
+
+TokenTableMachine.TestCase.settings = settings(deadline=None)  # max_examples from the profile
+TestTokenTableMachine = TokenTableMachine.TestCase
