@@ -77,14 +77,6 @@ class AccessMatrix:
     owner: int
     cells: tuple[tuple[AccessAttribute, ...], ...]
 
-    @property
-    def rows(self) -> int:
-        return len(self.cells)
-
-    @property
-    def cols(self) -> int:
-        return len(self.cells[0]) if self.cells else 0
-
     def cell(self, process_index: int, object_index: int) -> AccessAttribute:
         return self.cells[process_index][object_index]
 
@@ -184,14 +176,13 @@ def build_system(
             raise ConstructionError(f"user {user} has no matrix")
         matrix = by_owner[user]
         own = sum(1 for p in processes if p.owner == user)
-        if matrix.rows != own:
+        if len(matrix.cells) != own:
             raise ConstructionError(
-                f"matrix of {user} has {matrix.rows} rows, user owns {own} processes"
+                f"matrix of {user} has {len(matrix.cells)} rows, user owns {own} processes"
             )
-        if own and matrix.cols != len(objects):
-            raise ConstructionError(
-                f"matrix of {user} has {matrix.cols} columns, system has {len(objects)} objects"
-            )
+        if own and len(matrix.cells[0]) != len(objects):
+            raise ConstructionError(f"matrix of {user} has {len(matrix.cells[0])} columns, "
+                                    f"system has {len(objects)} objects")
     return SystemModel(
         users=users,
         processes=processes,

@@ -103,6 +103,9 @@ class PufParams:
             )
         if self.process_variation_sigma <= 0:
             raise ParameterError("process_variation_sigma must be > 0")
+        if not math.isfinite(self.nominal_frequency + 40 * self.process_variation_sigma):
+            raise ParameterError("process_variation_sigma must keep nominal_frequency + 40 sigma "
+                                 f"finite, got {self.process_variation_sigma!r}")
         if self.noise_sigma < 0:
             raise ParameterError("noise_sigma must be >= 0")
         if self.noise_sigma >= self.process_variation_sigma:

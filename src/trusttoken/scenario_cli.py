@@ -215,11 +215,13 @@ def parse_script(entries) -> list:
             cycle = raw["cycle"]  # run() checks it is an int >= 0
             kind = str(raw.get("type", "access"))
             if kind == "access":
-                script.append(TransactionIntent(
+                payload = raw.get("payload", "")
+                # tuple.__new__ runs no Python frame, where TransactionIntent(...) runs one
+                script.append(tuple.__new__(TransactionIntent, (
                     cycle, str(raw["app"]), str(raw["target"]),
                     attribute_from_str(str(raw.get("access", "r"))),
-                    _payload(raw.get("payload", "")),
-                ))
+                    bytes.fromhex(payload) if payload.__class__ is str else _payload(payload),
+                )))
             elif kind == "attack":
                 params = {
                     k: v for k, v in raw.items() if k not in ("cycle", "type", "kind")

@@ -11,10 +11,10 @@ signal-gated isolation that the modeled attacks defeat, for contrast.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ConfigurationError, MatrixTamperError, SimulationFault
@@ -48,7 +48,9 @@ MODES = (MODE_TRUSTTOKEN, MODE_BASELINE)
 FULL_ACCESS = AccessAttribute.READ | AccessAttribute.WRITE | AccessAttribute.EXECUTE
 
 _encode_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses
+_encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(detail, sort_keys=True)
 _CHUNK = 4096  # event-log lines joined into one chunk string
+_first = itemgetter(0)  # the cycle of a run entry or a pending response
 
 
 # --------------------------------------------------------------------------
@@ -143,97 +145,87 @@ class ReprovisionEvent:
 ScriptEntry = Union[TransactionIntent, AttackInjection, ReprovisionEvent]
 
 
-class _ArmedAttack(NamedTuple):  # an attack as run's pre-pass keeps it, with its args
-    cycle: int
-    attack: AttackInjection
-    args: dict
-
-
 # --------------------------------------------------------------------------
 # event log
 
 
 class EventLog:
     """Append-only, cycle-monotonic record of a simulation run.  Each event
-    becomes its ``events.log`` line as it arrives, and the counters that
-    :func:`report` reads are updated at the same time.
-
-    A line is ``cycle<TAB>actor<TAB>kind<TAB>`` followed by the text of
-    ``json.dumps(detail, sort_keys=True)``.  The hot kinds (issue, grant,
-    deny, response) have fixed writers that build that text with one
-    f-string, keys in sorted order; the rare kinds go through
-    :meth:`append`.  Every ``_CHUNK`` lines are joined into one str, so the
-    log holds its text about once, not as one str per line."""
+    becomes its ``events.log`` line, ``cycle<TAB>actor<TAB>kind<TAB>`` and
+    ``json.dumps(detail, sort_keys=True)``, as it arrives, and the counts
+    that :func:`report` reads are kept at the same time.  The hot records
+    have two writers, :meth:`access` and :meth:`responses`, which format
+    only the cycle (and a response's bytes) per record and take the rest
+    from text cached per key; the rare kinds go through :meth:`append`.
+    Lines are joined into chunks of about ``_CHUNK`` lines, so the log
+    holds its text about once."""
 
     def __init__(self):
         self._chunks: list[str] = []  # joined runs of lines, oldest first
-        self._tail: list[str] = []  # the lines after the last chunk, fewer than _CHUNK
+        self._tail: list[str] = []  # the records after the last chunk
         self._events = 0
+        self._join_at = _CHUNK  # the line count at which the tail is joined
         self._cycle = 0
-        self._counts: dict[str, int] = {}  # events per kind, transitions per outcome
-        self._reasons: dict[str, int] = {}  # denies and denied transitions per reason
-        self._costs: dict[int, int] = {}  # grants and denies per cycle cost
+        self._counts: dict[str, int] = {}  # appended events per kind, transitions per outcome
+        self._reasons: dict[str, int] = {}  # denied transitions per reason
+        self._accesses: dict = {}  # (source, target, cost, reason) -> [issue, decision, count]
+        self._tallies: dict = {}  # (cost, reason) -> decisions written uncached
+        self._responses: dict = {}  # (IP, app) -> (text before, text after the bytes)
 
-    def _record(self, cycle: int, kind: str, line: str, cost=None, reason=None) -> None:
-        """Add one line and update the counters; every writer ends here."""
-        if self._events and cycle < self._cycle:
+    def _record(self, cycle: int, text: str, lines: int) -> None:
+        """Add text, lines lines at one cycle; every writer ends here."""
+        if cycle < self._cycle and self._events:
             raise SimulationFault("event log cycles must be non-decreasing")
         self._cycle = cycle
-        self._events += 1
-        tail = self._tail
-        tail.append(line)
-        if len(tail) == _CHUNK:
-            self._chunks.append("".join(tail))
-            tail.clear()
-        self._counts[kind] = self._counts.get(kind, 0) + 1
-        if cost is not None:
-            self._costs[cost] = self._costs.get(cost, 0) + 1
-        if reason is not None:
-            self._reasons[reason] = self._reasons.get(reason, 0) + 1
+        self._events += lines
+        self._tail.append(text)
+        if self._events >= self._join_at:
+            self._chunks.append("".join(self._tail))
+            self._tail.clear()
+            self._join_at = self._events + _CHUNK
 
     def append(self, cycle: int, actor: str, kind: str, **detail) -> None:
-        # the text of json.dumps(detail, sort_keys=True), with str and int
-        # values encoded directly
-        fields = []
-        for key in sorted(detail):
-            value = detail[key]
-            if type(value) is str:
-                value = _encode_str(value)
-            elif type(value) is not int:
-                value = json.dumps(value)
-            fields.append(f"{_encode_str(key)}: {value}")
-        line = f"{cycle}\t{actor}\t{kind}\t{{{', '.join(fields)}}}\n"
-
+        self._record(cycle, f"{cycle}\t{actor}\t{kind}\t{_encode(detail)}\n", 1)
+        if kind == "grant" or kind == "deny":  # counted as the access writer counts them
+            key = (detail["cost"], detail.get("reason", "unknown") if kind == "deny" else None)
+            self._tallies[key] = self._tallies.get(key, 0) + 1
         if kind == "transition":
             kind += "_granted" if detail["status"] == "granted" else "_denied"
-        cost = detail["cost"] if kind == "grant" or kind == "deny" else None
-        reason = None
-        if kind == "deny" or kind == "transition_denied":
+        self._counts[kind] = self._counts.get(kind, 0) + 1
+        if kind == "transition_denied":
             reason = detail.get("reason", "unknown")
-        self._record(cycle, kind, line, cost, reason)
+            self._reasons[reason] = self._reasons.get(reason, 0) + 1
 
-    def issue(self, cycle: int, actor: str, target: str) -> None:
-        self._record(cycle, "issue", (
-            f'{cycle}\t{actor}\tissue\t{{"target": {_encode_str(target)}}}\n'
-        ))
+    def access(self, cycle: int, source: str, target: str, cost: int,
+               reason: Optional[str] = None, cache: bool = True) -> None:
+        """Write an access's issue line and its grant line, or with a reason
+        its deny line, from text cached per (source, target, cost, reason);
+        cache false, for names outside the topology, keeps them out of it."""
+        key = (source, target, cost, reason)
+        entry = self._accesses.get(key)
+        if entry is None:
+            target_text = _encode_str(target)  # the text of json.dumps, keys in sorted order
+            denied = "" if reason is None else f'"reason": {_encode_str(reason)}, '
+            entry = [f'\t{source}\tissue\t{{"target": {target_text}}}\n',
+                     f'\tcontroller\t{"deny" if denied else "grant"}\t{{"cost": {cost}, {denied}'
+                     f'"source": {_encode_str(source)}, "target": {target_text}}}\n', 0]
+            if cache:
+                self._accesses[key] = entry
+            else:
+                self._tallies[cost, reason] = self._tallies.get((cost, reason), 0) + 1
+        entry[2] += 1
+        self._record(cycle, f"{cycle}{entry[0]}{cycle}{entry[1]}", 2)
 
-    def grant(self, cycle: int, target: str, source: str, cost: int) -> None:
-        self._record(cycle, "grant", (
-            f'{cycle}\tcontroller\tgrant\t{{"cost": {cost}, '
-            f'"source": {_encode_str(source)}, "target": {_encode_str(target)}}}\n'
-        ), cost)
-
-    def deny(self, cycle: int, target: str, source: str, reason: str, cost: int) -> None:
-        self._record(cycle, "deny", (
-            f'{cycle}\tcontroller\tdeny\t{{"cost": {cost}, "reason": {_encode_str(reason)}, '
-            f'"source": {_encode_str(source)}, "target": {_encode_str(target)}}}\n'
-        ), cost, reason)
-
-    def response(self, cycle: int, actor: str, to: str, hex_bytes: str) -> None:
-        # hex digits need no escaping
-        self._record(cycle, "response", (
-            f'{cycle}\t{actor}\tresponse\t{{"bytes": "{hex_bytes}", "to": {_encode_str(to)}}}\n'
-        ))
+    def responses(self, due: list) -> None:
+        """Write a run of response lines, each given as (cycle, IP, app, hex
+        bytes), from text cached per (IP, app)."""
+        texts = self._responses
+        for cycle, ip, to, hex_bytes in due:  # hex digits need no escaping
+            text = texts.get((ip, to))
+            if text is None:
+                text = texts[ip, to] = (f'\t{ip}\tresponse\t{{"bytes": "',
+                                        f'", "to": {_encode_str(to)}}}\n')
+            self._record(cycle, f"{cycle}{text[0]}{hex_bytes}{text[1]}", 1)
 
     def __len__(self) -> int:
         return self._events
@@ -296,6 +288,8 @@ class Simulation:
             TrustWrapper(standard_stub(ip.stub), obj)
             for obj, ip in enumerate(topology.wrapped_ips)
         )
+        self.app_wrappers = {app: self.wrappers[self.objects[obj]]  # the app's own wrapper
+                             for app, obj in topology.app_to_ip.items()}
         self.table = None
         self._attack_surface: dict[str, tuple] = {}
         self._provision(initial=True)
@@ -312,15 +306,9 @@ class Simulation:
             check_controller_fits(len(self.ip_list), self.params)
         else:
             faults = []
-            self.table = provision(
-                self.chip,
-                self.params,
-                self.ip_list,
-                self.master_seed,
-                epoch=self.epoch,
-                on_fault=faults.append,
-                object_names=self.object_names,
-            )
+            self.table = provision(self.chip, self.params, self.ip_list, self.master_seed,
+                                   epoch=self.epoch, on_fault=faults.append,
+                                   object_names=self.object_names)
             for fault in faults:
                 self.log.append(self.cycle, "controller", "fault", **fault)
         for obj, _level in self.ip_list:
@@ -386,75 +374,84 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
     sim.ran = True
     if not _is_count(max_cycles):
         raise ConfigurationError(f"max_cycles must be an integer >= 0, got {max_cycles!r}")
-    entries = []  # each entry run; an attack as an _ArmedAttack with its resolved args
+    entries = []  # each entry run: an intent, else (cycle, entry, an attack's args or None)
+    checked = set()  # the (app, target, attribute) of str names _check_access passed
     for i, entry in enumerate(script):
         try:
-            if not isinstance(entry, (TransactionIntent, AttackInjection, ReprovisionEvent)):
-                raise ConfigurationError(f"not a script entry: {entry!r}")
-            if not _is_count(entry.cycle):
-                raise ConfigurationError(f"cycle must be >= 0, got {entry.cycle!r}")
             if isinstance(entry, TransactionIntent):
-                _check_access(entry.app, entry.target, entry.attribute, entry.payload, "access")
-            args = _check_attack(sim, entry) if isinstance(entry, AttackInjection) else None
+                cycle, app, target, attribute, payload = entry
+            elif isinstance(entry, (AttackInjection, ReprovisionEvent)):
+                cycle = entry.cycle
+            else:
+                raise ConfigurationError(f"not a script entry: {entry!r}")
+            if cycle.__class__ is not int and not _is_count(cycle) or cycle < 0:
+                raise ConfigurationError(f"cycle must be >= 0, got {cycle!r}")
+            if isinstance(entry, TransactionIntent):
+                key = (app, target, attribute)
+                if not (app.__class__ is target.__class__ is str and payload.__class__ is bytes
+                        and attribute.__class__ is AccessAttribute and key in checked):
+                    _check_access(app, target, attribute, payload, "access")
+                    if app.__class__ is target.__class__ is str:
+                        checked.add(key)
+            else:
+                entry = (cycle, entry,
+                         _check_attack(sim, entry) if isinstance(entry, AttackInjection) else None)
         except ConfigurationError as exc:
             raise ConfigurationError(f"script entry {i}: {exc}") from exc
-        if entry.cycle < max_cycles:
-            entries.append(entry if args is None else _ArmedAttack(entry.cycle, entry, args))
-    entries.sort(key=attrgetter("cycle"))  # stable: script order within a cycle
-    # deferred response records (due cycle, FIFO tie-break, actor, (to, hex)), sorted
-    pending: list[tuple[int, int, str, tuple[str, str]]] = []
+        if cycle < max_cycles:
+            entries.append(entry)
+    entries.sort(key=_first)  # stable: script order within a cycle
+    pending = []  # deferred responses (due cycle, IP, app, hex bytes)
 
     def flush(up_to: int) -> None:
-        due = bisect_left(pending, (up_to + 1,))  # records due at or before up_to
-        for when, _, actor, (to, hex_bytes) in pending[:due]:
-            sim.log.response(when, actor, to, hex_bytes)
-        del pending[:due]
+        if pending and pending[0][0] <= up_to:
+            due = bisect_right(pending, up_to, key=_first)
+            sim.log.responses(pending[:due])
+            del pending[:due]
 
     for entry in entries:
-        cycle = entry.cycle
+        sim.cycle = cycle = entry[0]
         flush(cycle)
-        sim.cycle = cycle
         if isinstance(entry, TransactionIntent):
-            _access(sim, entry.app, entry.target, entry.attribute, entry.payload, pending)
-        elif isinstance(entry, ReprovisionEvent):
+            _, app, target, attribute, payload = entry
+            _access(sim, app, target, attribute, payload, pending)
+        elif entry[2] is None:  # a reprovision
             sim.epoch += 1
             if sim.mode == MODE_TRUSTTOKEN:
                 sim._provision(initial=False)
             sim.log.append(cycle, "controller", "reprovision", epoch=sim.epoch)
         else:
-            _run_attack(sim, entry.attack, entry.args, pending)
+            _run_attack(sim, entry[1], entry[2], pending)
     flush(max_cycles)
     return sim.log
 
 
 def _access(sim: Simulation, app: str, target: str, attribute: AccessAttribute,
             payload: bytes, pending, sideband: Optional[SidebandSignals] = None) -> bool:
-    """One bus access from app to target: log the issue record, deny an
-    unknown app or target as malformed, else authorize, log the outcome and
-    deliver on grant.  The app's own wrapper issues the transaction unless
-    an attacker-chosen sideband is given; that bypasses the wrapper and is
-    the only forgery path in the simulator.  Returns granted."""
-    sim.log.issue(sim.cycle, app, target)
+    """One bus access from app to target: deny an unknown app or target as
+    malformed at cycle cost 1, else authorize, log the issue and outcome
+    records and deliver on grant, its response due cycle_cost cycles later
+    (FIFO within a cycle).  The app's own wrapper issues the transaction
+    unless an attacker-chosen sideband is given; that bypasses the wrapper
+    and is the only forgery path in the simulator.  Returns granted."""
+    cycle = sim.cycle
     proc = sim.apps.get(app)
     obj = sim.objects.get(target)
-    if proc is None or obj is None:
-        sim.log.deny(sim.cycle, target, app, DenialReason.MALFORMED.value, 1)
+    if proc is None or obj is None:  # formatted uncached: the names are not the topology's
+        sim.log.access(cycle, app, target, 1, DenialReason.MALFORMED.value, cache=False)
         return False
     if sideband is None:
-        wrapper = sim.wrappers[sim.objects[sim.topology.app_to_ip[app]]]
-        txn = wrapper.issue(obj, attribute, payload, source=proc)
+        txn = sim.app_wrappers[app].issue(obj, attribute, payload, source=proc)
     else:
         sim._forge_serial -= 1
         txn = WrappedTransaction(proc, obj, attribute, payload, sideband, sim._forge_serial)
     outcome = sim._authorize(txn)
-    if not outcome.granted:
-        sim.log.deny(sim.cycle, target, app, outcome.reason.value, outcome.cycle_cost)
-        return False
-    sim.log.grant(sim.cycle, target, app, outcome.cycle_cost)
-    response = sim.wrappers[obj].deliver(txn, outcome)
-    # the grant just logged makes len(sim.log) a unique, rising tie-break
-    insort(pending, (sim.cycle + outcome.cycle_cost, len(sim.log), target, (app, response.hex())))
-    return True
+    granted, cost, reason, _ = outcome
+    sim.log.access(cycle, app, target, cost, None if granted else reason.value)
+    if granted:
+        response = sim.wrappers[obj].deliver(txn, outcome)
+        insort(pending, (cycle + cost, target, app, response.hex()), key=_first)
+    return granted
 
 
 def _check_fields(attribute, payload, what: str) -> None:
@@ -635,25 +632,30 @@ class SummaryReport:
 
 
 def report(log: EventLog) -> SummaryReport:
-    """Summarize a run from the log's counters: grant/deny totals, attack
-    verdict, cost histogram."""
+    """Summarize a run from the log's counts, the access writer's per-key
+    counts folded in: grant/deny totals, attack verdict, cost histogram."""
     counts = log._counts
+    grants = denies = 0
+    reasons, costs = dict(log._reasons), {}
+    cached = [(key[2:], entry[2]) for key, entry in log._accesses.items()]
+    for (cost, reason), n in cached + list(log._tallies.items()):
+        costs[cost] = costs.get(cost, 0) + n
+        if reason is None:
+            grants += n
+        else:
+            denies += n
+            reasons[reason] = reasons.get(reason, 0) + n
     fired = counts.get("attack_fired", 0)
     blocked = counts.get("attack_blocked", 0)
-    if fired == 0:
-        verdict = "NONE"
-    elif blocked == fired:
-        verdict = "BLOCKED"
-    else:
-        verdict = "BREACHED"
+    verdict = "NONE" if fired == 0 else "BLOCKED" if blocked == fired else "BREACHED"
     return SummaryReport(
-        grants=counts.get("grant", 0),
-        denies=counts.get("deny", 0),
-        denials_by_reason=tuple(sorted(log._reasons.items())),
+        grants=grants,
+        denies=denies,
+        denials_by_reason=tuple(sorted(reasons.items())),
         transitions_granted=counts.get("transition_granted", 0),
         transitions_denied=counts.get("transition_denied", 0),
         attacks_fired=fired,
         attacks_blocked=blocked,
         verdict=verdict,
-        cycle_cost_histogram=tuple(sorted(log._costs.items())),
+        cycle_cost_histogram=tuple(sorted(costs.items())),
     )

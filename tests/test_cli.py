@@ -146,6 +146,18 @@ class TestRun:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_overflowing_sigma_exits_1(self, tmp_path, capsys):
+        # YAML 1.1 reads 1.0e308, with no exponent sign, as a str
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(bundled_config("smoke.cfg").read_text()
+                       + "puf: {process_variation_sigma: 1.0e+308}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            "error: process_variation_sigma must keep nominal_frequency + 40 sigma finite, "
+            "got 1e+308\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_degenerate_puf_runs_in_baseline_mode(self, tmp_path, monkeypatch):
         # a baseline SoC has no token controller, so a chip that could not
         # key one does not matter: the run is the run without the puf section

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -118,11 +119,20 @@ class TestParams:
             {"nominal_frequency": False},
             {"process_variation_sigma": True},
             {"noise_sigma": True},
+            # a sigma whose 40-sigma frequency overflows a float64
+            {"process_variation_sigma": 1.0e308},
+            {"process_variation_sigma": 4.5e306},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             PufParams(**kwargs)
+
+    def test_largest_sigmas_draw_finite_frequencies_without_warning(self):
+        params = PufParams(process_variation_sigma=4.4e306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(new_chip(1, params).base_frequencies).all()
 
     def test_oscillator_count_bound_is_inclusive(self):
         assert PufParams(oscillator_count=2**16).oscillator_count == 2**16

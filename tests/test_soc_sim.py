@@ -243,6 +243,52 @@ class TestRun:
         assert summary.denies == 1
         assert dict(summary.denials_by_reason) == {"malformed": 1}
 
+    def test_unknown_name_is_one_malformed_deny_at_cost_1(self):
+        script = [TransactionIntent(10, "ghost", "aes", R, b"x"),
+                  TransactionIntent(11, "app1", "ghost", R, b"x")]
+        log = run(build(paper_topology(), 3), script, 100)
+        assert [(r.cycle, r.actor, r.kind, r.detail) for r in records(log)] == [
+            (cycle, actor, kind, detail)
+            for cycle, app, target in [(10, "ghost", "aes"), (11, "app1", "ghost")]
+            for actor, kind, detail in [
+                (app, "issue", {"target": target}),
+                ("controller", "deny",
+                 {"cost": 1, "reason": "malformed", "source": app, "target": target}),
+            ]
+        ]
+        written = json.loads(report(log).to_json())  # the text of report.json
+        assert written["cycle_cost_histogram"] == {"1": 2}
+        assert written["denials_by_reason"] == {"malformed": 2}
+
+    def test_text_cache_holds_only_topology_names(self):
+        topology = paper_topology()
+        script = [TransactionIntent(i, "app1", f"ghost{i}", R) for i in range(10_000)]
+        script += [TransactionIntent(10_000 + i, app, target, R, b"\x01")
+                   for i, (app, target) in enumerate(
+                       [(app, target) for app in APPS for target in OBJECTS] + [("ghost", "aes")])]
+        sim = build(topology, 3)
+        log = run(sim, script, 20_000)
+        assert {key[:2] for key in log._accesses} == {(a, t) for a in APPS for t in OBJECTS}
+        assert len(log._accesses) <= len(APPS) * len(OBJECTS) * 2  # a grant and one deny reason
+        assert set(log._responses) == {(t, a) for a, t in topology.app_to_ip.items()}
+        summary = report(log)
+        assert dict(summary.denials_by_reason)["malformed"] == 10_001
+        assert summary == log_oracle.report(log)
+
+    @pytest.mark.parametrize("mode, granted", [(MODE_TRUSTTOKEN, False), (MODE_BASELINE, True)])
+    def test_reprovision_resets_integrity_levels_only_in_trusttoken_mode(self, mode, granted):
+        # a trusttoken reprovision binds every IP at its boot level again;
+        # baseline's cleared protection signal survives it
+        script = [
+            AttackInjection(AttackKind.TAMPER_INTEGRITY_LEVEL, 10,
+                            {"target": "rsa", "new_level": "LOW", "token": "stolen"}),
+            ReprovisionEvent(20),
+            cross_attack(30),
+        ]
+        summary = report(run(build(paper_topology(), 3, mode=mode), script, 100))
+        assert summary.transitions_granted == 1
+        assert (summary.grants, summary.denies) == ((1, 0) if granted else (0, 1))
+
     def test_response_visible_after_cycle_cost(self):
         log = run(build(paper_topology(), 3), [TransactionIntent(10, "app1", "aes", R, b"z")], 100)
         responses = [r for r in records(log) if r.kind == "response"]
@@ -502,12 +548,21 @@ class TestAttackChecks:
              "cross_ip_access attack app .* contains a tab, CR or LF"),
             (TransactionIntent(10, 5, "aes", R), "access app must be a str, got 5"),
             (TransactionIntent(10, "app1", 5, R), "access target must be a str, got 5"),
+            # unhashable names and attributes, and an int equal to READ that hashes as it does
+            (TransactionIntent(10, ["app1"], "aes", R), r"access app must be a str, got \['app1'\]$"),
+            (TransactionIntent(10, "app1", ["aes"], R), r"access target must be a str, got \['aes'\]$"),
+            (TransactionIntent(10, "app1", "aes", [R]),
+             r"access attribute must be an AccessAttribute, got \[<AccessAttribute.READ: 4>\]$"),
+            (TransactionIntent(10, "app1", "aes", 4), "access attribute must be an AccessAttribute, got 4$"),
         ],
     )
     def test_bad_entry_rejected_before_the_run(self, entry, message):
+        # the pre-pass checks each (app, target, attribute) once: the bad
+        # entry follows 1,000 good ones that share app1's names and attribute
+        good = [TransactionIntent(10, "app1", "aes", R, b"\x01")] * 1000
         sim = build(paper_topology(), 3)
-        with pytest.raises(ConfigurationError, match=f"script entry 5: {message}"):
-            run(sim, benign_script() + [entry], 100)
+        with pytest.raises(ConfigurationError, match=f"^script entry 1005: {message}"):
+            run(sim, benign_script() + good + [entry], 100)
         assert len(sim.log) == 0
 
     @pytest.mark.parametrize(
@@ -564,6 +619,65 @@ class TestAttackChecks:
         assert dict(summary.denials_by_reason) == {"malformed": 1}
 
 
+class _Cycle(int):
+    pass
+
+
+class _Name(str):
+    pass
+
+
+class _Payload(bytes):
+    pass
+
+
+def _intent(cycles, apps, targets, attributes, payloads):
+    return st.builds(TransactionIntent, st.sampled_from(cycles), st.sampled_from(apps),
+                     st.sampled_from(targets), st.sampled_from(attributes),
+                     st.sampled_from(payloads))
+
+
+# good field values, with subclasses of int, str and bytes, and bad ones
+_good_intent = _intent([0, 3, 9, _Cycle(4)], ["app1", "app4", "ghost", _Name("app1")],
+                       ["aes", "rsa", "ghost", _Name("rsa")], [R, RWE],
+                       [b"", b"\x01", _Payload(b"\x02")])
+_any_intent = _intent([0, 3, _Cycle(4), -1, True, 2.5, "3"],
+                      ["app1", "ghost", _Name("app1"), "a\tb", "a\nb", 5, ["app1"]],
+                      ["aes", "ghost", 5, None, ["aes"]], [R, RWE, AccessAttribute.NONE, "r", 4, [R]],
+                      [b"", _Payload(b"\x02"), "ab", 5, bytearray(b"x")])
+
+
+def _first_bad_entry(script):
+    """The error the pre-pass raises, found by checking every entry in
+    full; None when every entry passes."""
+    for i, entry in enumerate(script):
+        try:
+            if not soc_sim._is_count(entry.cycle):
+                raise ConfigurationError(f"cycle must be >= 0, got {entry.cycle!r}")
+            soc_sim._check_access(entry.app, entry.target, entry.attribute, entry.payload, "access")
+        except ConfigurationError as exc:
+            return f"script entry {i}: {exc}"
+    return None
+
+
+class TestPrePass:
+    @given(script=st.tuples(st.lists(_good_intent, max_size=30), st.lists(_any_intent, max_size=4))
+           .map(lambda parts: parts[0] + parts[1]))
+    @settings(deadline=None)  # max_examples from the profile: 100 by default
+    def test_memoized_prepass_matches_per_entry_checks(self, script):
+        sim = build(paper_topology(), 3)
+        expected = _first_bad_entry(script)
+        if expected is None:
+            log = run(sim, script, 10)
+            assert report(log) == log_oracle.report(log)
+            assert report(log).grants + report(log).denies == len(script)
+        else:
+            with pytest.raises(ConfigurationError) as caught:
+                run(sim, script, 10)
+            assert str(caught.value) == expected
+            assert len(sim.log) == 0
+
+
 class TestIsolationSoundness:
     def test_grants_only_for_own_mapped_ip(self):
         # all wrappers HIGH: every grant must be app -> its own mapped IP
@@ -609,14 +723,43 @@ _text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\té\u2028€😀'),
 
 # names the event log can write as an actor
 _actor = _text.filter(lambda name: not any(c in name for c in "\t\r\n"))
-# each fixed writer, called with the fields of its record's detail
-_WRITERS = {
-    "issue": lambda log, cycle, actor, d: log.issue(cycle, actor, d["target"]),
-    "grant": lambda log, cycle, actor, d: log.grant(cycle, d["target"], d["source"], d["cost"]),
-    "deny": lambda log, cycle, actor, d: log.deny(
-        cycle, d["target"], d["source"], d["reason"], d["cost"]),
-    "response": lambda log, cycle, actor, d: log.response(cycle, actor, d["to"], d["bytes"]),
-}
+
+
+def _line(cycle, actor, kind, detail):
+    return f"{cycle}\t{actor}\t{kind}\t" + json.dumps(detail, sort_keys=True) + "\n"
+
+
+def _write(log, cycle, kind, fields):
+    """Call the writer of a drawn record at cycle, and return the lines it
+    must write and the cycle of the last one.  An access is (source,
+    target, cost, reason, cache); responses are a run of (step, IP, app,
+    hex bytes), each at the cycle before it plus its step."""
+    if kind == "access":
+        source, target, cost, reason, cache = fields
+        log.access(cycle, source, target, cost, reason, cache=cache)
+        decision = {"cost": cost, "source": source, "target": target}
+        if reason is not None:
+            decision["reason"] = reason
+        return cycle, [_line(cycle, source, "issue", {"target": target}),
+                       _line(cycle, "controller", "grant" if reason is None else "deny", decision)]
+    due, lines = [], []
+    for step, ip, to, hex_bytes in fields:
+        cycle += step
+        due.append((cycle, ip, to, hex_bytes))
+        lines.append(_line(cycle, ip, "response", {"bytes": hex_bytes, "to": to}))
+    log.responses(due)
+    return cycle, lines
+
+
+def _records(pools):
+    """Writer records whose names come from small drawn pools, so that
+    keys repeat and most records are written from cached text."""
+    actor, text = st.sampled_from(pools[0]), st.sampled_from(pools[1])
+    access = st.tuples(st.just("access"), st.tuples(
+        actor, text, st.integers(), st.one_of(st.none(), text), st.booleans()))
+    responses = st.tuples(st.just("responses"), st.lists(
+        st.tuples(st.integers(0, 3), actor, text, st.binary().map(bytes.hex)), min_size=1))
+    return st.lists(st.tuples(st.integers(0, 3), st.one_of(access, responses)))
 
 
 class TestEventLine:
@@ -632,68 +775,70 @@ class TestEventLine:
         log.append(7, "app1", "issue", **detail)
         assert log.to_text() == "7\tapp1\tissue\t" + json.dumps(dict(detail), sort_keys=True) + "\n"
 
-    @given(
-        records=st.lists(st.tuples(st.integers(0, 3), st.one_of(
-            st.tuples(st.just("issue"), _actor, st.fixed_dictionaries({"target": _text})),
-            st.tuples(st.just("grant"), st.just("controller"), st.fixed_dictionaries(
-                {"target": _text, "source": _text, "cost": st.integers()})),
-            st.tuples(st.just("deny"), st.just("controller"), st.fixed_dictionaries(
-                {"target": _text, "source": _text, "reason": _text, "cost": st.integers()})),
-            st.tuples(st.just("response"), _actor, st.fixed_dictionaries(
-                {"to": _text, "bytes": st.binary().map(bytes.hex)})),
-        ))),
-    )
+    @given(records=st.tuples(st.lists(_actor, min_size=1, max_size=3),
+                             st.lists(_text, min_size=1, max_size=3)).flatmap(_records))
     @settings(deadline=None)  # max_examples from the profile: 100 by default
     def test_fixed_writers_match_json_dumps(self, records):
-        # each record's cycle is the last one's plus the drawn step
+        # each record's first cycle is the last one's plus the drawn step
         log = EventLog()
         lines = []
         cycle = 0
-        for step, (kind, actor, detail) in records:
-            cycle += step
-            _WRITERS[kind](log, cycle, actor, detail)
-            lines.append(f"{cycle}\t{actor}\t{kind}\t" + json.dumps(detail, sort_keys=True) + "\n")
+        for step, (kind, fields) in records:
+            cycle, written = _write(log, cycle + step, kind, fields)
+            lines += written
         assert log.to_text() == "".join(lines)
+        assert len(log) == len(lines)
         assert report(log) == log_oracle.report(log)
 
     def test_log_is_the_same_across_chunk_boundaries(self):
         records = [
-            ("issue", "app1", {"target": "aes"}),
-            ("grant", "controller", {"target": "aes", "source": "app1", "cost": 2}),
-            ("deny", "controller", {"target": "rsa", "source": "app3", "reason": "matrix_deny",
-                                    "cost": 1}),
-            ("response", "aes", {"to": "app1", "bytes": "00ff"}),
-            ("transition", "controller", {"target": "rsa", "to": "LOW", "status": "denied",
-                                          "reason": "unauthenticated"}),
+            ("access", ("app1", "aes", 2, None, True)),
+            ("access", ("app3", "rsa", 1, "matrix_deny", True)),
+            ("access", ("ghost", "aes", 1, "malformed", False)),
+            ("responses", [(0, "aes", "app1", "00ff")]),
+            ("responses", [(0, "des", "app2", ""), (1, "aes", "app1", "01")]),
+            ("transition", ("controller", {"target": "rsa", "to": "LOW", "status": "denied",
+                                           "reason": "unauthenticated"})),
         ]
         log = EventLog()
         lines = []
-        for i in range(2 * soc_sim._CHUNK + 123):  # more than two chunks' worth
-            kind, actor, detail = records[i % len(records)]
-            cycle = i // 3
-            if kind in _WRITERS:
-                _WRITERS[kind](log, cycle, actor, detail)
+        cycle = 0
+        for i in range(5000):  # more than two chunks' worth of lines
+            kind, fields = records[i % len(records)]
+            cycle = max(cycle, i // 3)
+            if kind == "transition":
+                log.append(cycle, fields[0], kind, **fields[1])
+                lines.append(_line(cycle, fields[0], kind, fields[1]))
             else:
-                log.append(cycle, actor, kind, **detail)
-            lines.append(f"{cycle}\t{actor}\t{kind}\t" + json.dumps(detail, sort_keys=True) + "\n")
+                cycle, written = _write(log, cycle, kind, fields)
+                lines += written
+        assert len(lines) > 2 * soc_sim._CHUNK
         text = log.to_text()
         assert text == "".join(lines)
         assert len(log) == len(lines)
         assert log.to_text() == text
         assert report(log) == log_oracle.report(log)
         # a write after to_text still appends, and the cycles still may not decrease
-        log.issue(cycle, "app2", "des")
-        assert log.to_text() == text + f'{cycle}\tapp2\tissue\t{{"target": "des"}}\n'
-        assert len(log) == len(lines) + 1
+        log.access(cycle, "app2", "des", 2)
+        assert log.to_text() == text + "".join(_write(EventLog(), cycle, *records[0])[1]).replace(
+            "app1", "app2").replace("aes", "des")
+        assert len(log) == len(lines) + 2
         with pytest.raises(SimulationFault):
-            log.issue(cycle - 1, "app2", "des")
+            log.access(cycle - 1, "app2", "des", 2)
+        with pytest.raises(SimulationFault):
+            log.responses([(cycle - 1, "des", "app2", "")])
+        with pytest.raises(SimulationFault):  # a run out of cycle order
+            log.responses([(cycle + 1, "des", "app2", ""), (cycle, "des", "app2", "")])
 
     def test_cycle_regression_right_after_a_chunk_is_joined_raises(self):
         log = EventLog()
-        for _ in range(soc_sim._CHUNK):  # exactly one chunk: no line is left unjoined
-            log.issue(5, "app1", "aes")
+        for _ in range(soc_sim._CHUNK // 2):  # exactly one chunk: no line is left unjoined
+            log.access(5, "app1", "aes", 2)
+        assert log._tail == []
         with pytest.raises(SimulationFault):
-            log.issue(4, "app1", "aes")
+            log.access(4, "app1", "aes", 2)
+        with pytest.raises(SimulationFault):
+            log.responses([(4, "aes", "app1", "")])
         assert len(log) == soc_sim._CHUNK
 
     def test_log_holds_its_text_about_once(self):
@@ -702,8 +847,9 @@ class TestEventLine:
         try:
             before = tracemalloc.get_traced_memory()[0]
             log = EventLog()
-            for cycle in range(50_000):
-                log.issue(cycle, "app1", "aes")
+            for cycle in range(25_000):
+                log.access(cycle, "app1", "aes", 2)
+                log.responses([(cycle, "aes", "app1", "")])
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
