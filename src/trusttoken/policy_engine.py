@@ -30,6 +30,11 @@ class AccessAttribute(IntFlag):
     READ = 4
 
 
+# masks as plain ints: checks on an attribute's int value build no IntFlag member
+_CONFIDENTIALITY = int(AccessAttribute.READ | AccessAttribute.EXECUTE)
+_INTEGRITY = int(AccessAttribute.WRITE | AccessAttribute.EXECUTE)
+
+
 @functools.lru_cache(maxsize=256)
 def attribute_from_str(text: str) -> AccessAttribute:
     """Parse attribute strings like 'rwe', 'r', 'we'.  Cached: a script
@@ -133,7 +138,8 @@ class SystemModel:
     def covers(self, process: ProcessId, obj: int, attribute: AccessAttribute) -> bool:
         """The matrix rule: the process's cell for obj holds every requested bit."""
         matrix, row = self._rows[process]
-        return attribute & matrix.cell(row, self._cols[obj]) == attribute
+        attribute = int(attribute)
+        return attribute & int(matrix.cell(row, self._cols[obj])) == attribute
 
     def sealed(self) -> "SystemModel":
         """Leave the design phase: integrator modifications are rejected after this."""
@@ -193,12 +199,12 @@ def build_system(
 
 def classify_confidentiality(attribute: AccessAttribute) -> bool:
     """Confidentiality is preserved iff the read bit or the execute bit is set."""
-    return bool(attribute & (AccessAttribute.READ | AccessAttribute.EXECUTE))
+    return bool(int(attribute) & _CONFIDENTIALITY)
 
 
 def classify_integrity(attribute: AccessAttribute) -> bool:
     """Integrity is preserved iff the write bit or the execute bit is set."""
-    return bool(attribute & (AccessAttribute.WRITE | AccessAttribute.EXECUTE))
+    return bool(int(attribute) & _INTEGRITY)
 
 
 def evaluate(model: SystemModel, request: AccessRequest, credentials) -> Optional[DenialReason]:
@@ -219,9 +225,10 @@ def evaluate(model: SystemModel, request: AccessRequest, credentials) -> Optiona
     cred_reason = credentials.check_credentials(request.object, request.ip_id, request.token)
     if cred_reason is not None:
         return cred_reason
-    if not (classify_confidentiality(request.attribute) or classify_integrity(request.attribute)):
+    attribute = int(request.attribute)  # an AccessAttribute or a plain int
+    if not (classify_confidentiality(attribute) or classify_integrity(attribute)):
         return DenialReason.MALFORMED
-    if not model.covers(request.process, request.object, request.attribute):
+    if not model.covers(request.process, request.object, attribute):
         return DenialReason.MATRIX_DENY
     return None
 

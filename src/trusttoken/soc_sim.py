@@ -404,14 +404,14 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
     pending = []  # deferred responses (due cycle, IP, app, hex bytes)
 
     def flush(up_to: int) -> None:
-        if pending and pending[0][0] <= up_to:
-            due = bisect_right(pending, up_to, key=_first)
-            sim.log.responses(pending[:due])
-            del pending[:due]
+        due = bisect_right(pending, up_to, key=_first)
+        sim.log.responses(pending[:due])
+        del pending[:due]
 
     for entry in entries:
         sim.cycle = cycle = entry[0]
-        flush(cycle)
+        if pending and pending[0][0] <= cycle:  # a response is due
+            flush(cycle)
         if isinstance(entry, TransactionIntent):
             _, app, target, attribute, payload = entry
             _access(sim, app, target, attribute, payload, pending)

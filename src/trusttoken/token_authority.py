@@ -54,11 +54,12 @@ class TokenTable:
     presented credentials and release each IP's credentials exactly once
     (the boot-stage push to its wrapper).
 
-    ``_decisions`` memoizes :func:`authorize`: (source, target, kind,
-    ar_token, ar_id) -> (granted, cycle_cost, reason), decided under the
-    ``_policy`` object.  A table starts with an empty memo, and it is
-    cleared whenever a decision input changes: a granted integrity
-    transition, or a call under another policy object.
+    ``_decisions`` memoizes :func:`authorize`: (source owner, source index,
+    target, kind, ar_token, ar_id), a key of ints that hashes in C, ->
+    (granted, cycle_cost, reason), decided under the ``_policy`` object.
+    A table starts with an empty memo, and it is cleared whenever a
+    decision input changes: a granted integrity transition, or a call
+    under another policy object.
     """
 
     def __init__(self, entries: dict[int, _Entry]):
@@ -179,27 +180,20 @@ def authorize(table: TokenTable, txn, policy: SystemModel) -> AuthorizationOutco
     if policy is not table._policy:
         table._decisions.clear()
         table._policy = policy
-    target = txn.target
-    sideband = txn.sideband
-    key = (txn.source, target, txn.kind, sideband.ar_token, sideband.ar_id)
+    source, target, kind, _, sideband, serial = txn
+    token, ip_id = sideband.ar_token, sideband.ar_id
+    key = (source.owner, source.index, target, kind, token, ip_id)
     decision = table._decisions.get(key)
     if decision is None:
         entry = table._entries.get(target)
         if entry is not None and entry.integrity is IntegrityLevel.LOW:
             decision = (True, 1, None)
         else:
-            request = AccessRequest(
-                user=txn.source.owner,
-                process=txn.source,
-                object=target,
-                token=sideband.ar_token,
-                ip_id=sideband.ar_id,
-                attribute=txn.kind,
-            )
+            request = AccessRequest(source.owner, source, target, token, ip_id, kind)
             reason = evaluate(policy, request, table)
             decision = (reason is None, 2, reason)
         table._decisions[key] = decision
-    return AuthorizationOutcome(*decision, txn.serial)
+    return tuple.__new__(AuthorizationOutcome, decision + (serial,))  # no constructor frame
 
 
 def request_integrity_transition(

@@ -111,12 +111,11 @@ class TrustWrapper:
         """Create a transaction carrying this wrapper's own sideband verbatim."""
         if self.sideband is None:
             raise ConfigurationError(f"wrapper for {self.object} is not provisioned")
-        if kind == AccessAttribute.NONE:
+        if kind == 0:  # AccessAttribute.NONE, compared without the class attribute read
             raise ParameterError("transaction kind needs at least one access bit")
         self._issue_counter += 1
-        return WrappedTransaction(
-            source, target, kind, bytes(payload), self.sideband, self._issue_counter
-        )
+        return tuple.__new__(WrappedTransaction, (  # no Python-level constructor frame
+            source, target, kind, bytes(payload), self.sideband, self._issue_counter))
 
     def deliver(
         self, txn: WrappedTransaction, outcome: AuthorizationOutcome

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -280,3 +281,22 @@ def test_oracle_equivalence_2x2x2_exhaustive():
     for req in enumerate_requests(model, entries):
         got = "yes" if evaluate(model, req, store) is None else "no"
         assert got == literal_rules_verdict(model, req, store), req
+
+
+def test_plain_int_attribute_decided_as_its_access_attribute():
+    # an attribute given as a plain int, such as 6, gets its AccessAttribute's verdict
+    model = next(m for m in enumerate_models(max_users=2, max_procs=2, max_objects=2)
+                 if len(m.processes) == 4 and len(m.objects) == 2)
+    entries = {o: (f"id{o}", f"tok{o}") for o in model.objects}
+    store = StaticCredentialStore(entries)
+    for req in enumerate_requests(model, entries):
+        plain = dataclasses.replace(req, attribute=int(req.attribute))
+        assert type(plain.attribute) is int
+        assert evaluate(model, plain, store) is evaluate(model, req, store), req
+    assert evaluate(two_user_model(), request(attr=6), creds()) is None
+    assert evaluate(two_user_model(), request(attr=6, obj=O1, token="tok1", ip_id="id1"),
+                    creds()) is DenialReason.MATRIX_DENY
+    for value in range(8):
+        attr = AccessAttribute(value)
+        assert classify_confidentiality(value) is classify_confidentiality(attr)
+        assert classify_integrity(value) is classify_integrity(attr)

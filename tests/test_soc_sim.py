@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import log_oracle
@@ -1030,3 +1033,53 @@ class TestAttackDefaults:
               mock.patch.object(soc_sim, "modify_matrix", recorded(soc_sim.modify_matrix, 1))):
             text = run(sim, script, 25).to_text()
         return [line for line in text.splitlines() if line.split("\t")[2] != "attack_fired"], calls
+
+
+# The benchmark's input generators and expected-outcome oracle, loaded from
+# bench/workloads.py as they are; the oracle imports nothing from the package.
+_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+# the attacks that make a bus access, each an intent of its own
+_ACCESS_ATTACKS = ("cross_ip_access", "forge_token", "replay_stale_token")
+
+
+class TestRandomTopologies:
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 16)),
+        n_accesses=st.integers(1, 40),
+        own_frac=st.floats(0.0, 1.0),
+        payload_bytes=st.integers(0, 4),
+        attack_every=st.integers(1, 12),
+        reprovision_every=st.integers(1, 30),
+        cut=st.integers(0, 45),
+        seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    )
+    @settings(deadline=None)  # max_examples from the profile: 100 by default
+    def test_random_topologies_match_the_oracle(self, shape, n_accesses, own_frac, payload_bytes,
+                                                attack_every, reprovision_every, cut, seeds):
+        # wide_topology and make_script draw the config; each mode's report
+        # must equal the oracle's outcome, with one issue and one grant or
+        # deny line per intent and a stub run per grant
+        rng = random.Random(seeds[0])
+        topology = workloads.wide_topology(rng, *shape)
+        script = workloads.make_script(rng, topology, n_accesses, own_frac, payload_bytes,
+                                       attack_every, reprovision_every)
+        config = {"seed": seeds[1], "max_cycles": cut, "topology": topology, "script": script}
+        intents = sum(e["cycle"] < cut and (e["type"] == "access" or e.get("kind") in _ACCESS_ATTACKS)
+                      for e in script)
+        for mode in MODES:
+            sim = build(parse_topology(topology), seeds[1], mode=mode)
+            log = run(sim, parse_script(script), cut)
+            summary = report(log).to_dict()
+            expected = workloads.expected_outcome(config, mode)
+            assert {key: summary[key] for key in expected} == expected, mode
+            lines = records(log)
+            issues = [i for i, r in enumerate(lines) if r.kind == "issue"]
+            assert len(issues) == intents
+            assert sum(r.kind in ("grant", "deny") for r in lines) == intents
+            for i in issues:  # each issue line is followed by its decision line
+                assert lines[i + 1].kind in ("grant", "deny")
+                assert lines[i + 1].detail["source"] == lines[i].actor
+            assert sum(w.stub_invocations for w in sim.wrappers) == summary["grants"]

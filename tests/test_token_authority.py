@@ -1,5 +1,6 @@
 import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from trusttoken import token_authority
 from trusttoken.puf_model import PufParams, measure_response, new_chip
 from trusttoken.token_authority import (
     _PROVISION_SALT,
+    AuthorizationOutcome,
     authorize,
     provision,
     request_integrity_transition,
@@ -347,6 +349,29 @@ class TestDecisionMemo:
         outcome = authorize(fresh, txn, permissive_model)
         assert not outcome.granted and outcome.reason is DenialReason.TOKEN_MISMATCH
 
+    def test_equal_process_ids_built_apart_share_one_entry(self, table, permissive_model):
+        creds = release_all(table)
+        calls = []
+        with mock.patch.object(token_authority, "evaluate",
+                               lambda *args: calls.append(args) or evaluate(*args)):
+            for serial in (1, 2):  # a new ProcessId(USER, 0) each time
+                txn = txn_for(creds, OBJECTS[0], OBJECTS[0], serial=serial)
+                txn = txn._replace(source=ProcessId(USER, 0))
+                assert authorize(table, txn, permissive_model).granted
+        assert len(calls) == 1 and len(table._decisions) == 1
+
+    @pytest.mark.parametrize("target, expected", [
+        (OBJECTS[0], (True, 2, None)),  # granted by evaluate
+        (OBJECTS[1], (False, 2, DenialReason.TOKEN_MISMATCH)),  # another IP's token
+    ])
+    def test_outcome_is_a_real_authorization_outcome(self, table, permissive_model, target,
+                                                     expected):
+        txn = txn_for(release_all(table), OBJECTS[0], target, serial=7)
+        for _ in range(2):  # decided, then answered from the memo
+            outcome = authorize(table, txn, permissive_model)
+            assert type(outcome) is AuthorizationOutcome
+            assert outcome._asdict() == AuthorizationOutcome(*expected, 7)._asdict()
+
     def test_second_policy_not_served_from_the_first_ones_entries(self, table, permissive_model):
         none = AccessAttribute.NONE
         closed = build_system([USER], [PROC], OBJECTS,
@@ -517,7 +542,7 @@ class TokenTableMachine(RuleBasedStateMachine):
         if model is not self.policy:
             self.memo.clear()
             self.policy = model
-        self.memo.add((proc, target, kind, token, ip_id))
+        self.memo.add((proc.owner, proc.index, target, kind, token, ip_id))
         entry = self.entries.get(target)
         if entry is not None and entry["level"] is IntegrityLevel.LOW:
             expected = (True, 1, None)

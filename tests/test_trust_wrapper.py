@@ -7,6 +7,7 @@ from trusttoken.policy_engine import AccessAttribute, DenialReason, ProcessId
 from trusttoken.token_authority import AuthorizationOutcome
 from trusttoken.trust_wrapper import (
     TrustWrapper,
+    WrappedTransaction,
     _aes_stub,
     _des_stub,
     _rsa_stub,
@@ -91,8 +92,17 @@ class TestIssue:
         assert t1.serial != t2.serial
 
     def test_empty_kind_rejected(self, wrapper):
-        with pytest.raises(ParameterError):
-            wrapper.issue(OBJ, AccessAttribute.NONE, b"", source=PROC)
+        for kind in (AccessAttribute.NONE, 0):  # a plain int 0 is the empty kind too
+            with pytest.raises(ParameterError):
+                wrapper.issue(OBJ, kind, b"", source=PROC)
+        assert wrapper.issue(OBJ, AccessAttribute.READ, b"", source=PROC).serial == 1  # none spent
+
+    def test_issue_builds_a_real_wrapped_transaction(self, wrapper):
+        txn = wrapper.issue(OBJ, AccessAttribute.WRITE, bytearray(b"ab"), source=PROC)
+        assert type(txn) is WrappedTransaction and type(txn.payload) is bytes
+        built = WrappedTransaction(PROC, OBJ, AccessAttribute.WRITE, b"ab", wrapper.sideband, 1)
+        assert txn._asdict() == built._asdict()
+        assert repr(txn) == repr(built)
 
 
 class TestDeliver:
