@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ _COMMON_MODE_VARIANCE_FRACTION = 0.9
 _U64_MAX = 2**64 - 1
 
 # Hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx),
-# which _seed_states reproduces in array form.
+# which _seed_words reproduces in array form.
 _MASK32 = 0xFFFFFFFF
 _SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -92,7 +93,9 @@ class PufParams:
             )
         for name in ("nominal_frequency", "process_variation_sigma", "noise_sigma"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.oscillator_count < 2 or self.response_bits < 1:
             raise ParameterError("oscillator_count and response_bits must be positive")
@@ -178,21 +181,20 @@ def _pool_hash(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def _seed_states(chip_seeds, count: int) -> np.ndarray:
-    """Row k * count + i is SeedSequence([chip_seeds[k], i]).generate_state(4,
-    np.uint64), for every i in range(count), from one _pool_hash.
-    SeedSequence's entropy words are [lo, i, 0, 0] for a seed below 2**32,
-    else [lo, hi, i, 0].  Needs count <= 2**32, so that each i is a single
-    word."""
-    seeds = np.array(chip_seeds, dtype=np.uint64)[:, None]
-    hi = (seeds >> _U64_32).astype(np.uint32)
-    index = np.arange(count, dtype=np.uint32)
-    two_words = hi != 0
-    entropy = np.zeros((_SS_POOL_SIZE, len(seeds), count), dtype=np.uint32)
-    entropy[0] = seeds & _U32_MASK
-    entropy[1] = np.where(two_words, hi, index)
-    entropy[2] = np.where(two_words, index, 0)
-    return _pool_hash(entropy.reshape(_SS_POOL_SIZE, -1))
+def _seed_words(seeds, *tail) -> np.ndarray:
+    """Row j is SeedSequence([seeds[j], *tail_j]).generate_state(4,
+    np.uint64), from one _pool_hash; tail_j takes row j of each tail word
+    that is an array.  The entropy words are [lo, *tail_j] for a seed below
+    2**32, else [lo, hi, *tail_j]: each tail word must be below 2**32, and
+    at most 4 words fit."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = np.zeros((_SS_POOL_SIZE + 1, len(seeds)), dtype=np.uint32)
+    # a uint64 row assigned to a uint32 row keeps its low word
+    for row, word in enumerate((seeds, seeds >> _U64_32, *tail)):
+        entropy[row] = word
+    # a one-word seed's tail starts a word earlier
+    np.copyto(entropy[1:-1], entropy[2:], where=entropy[1] == 0)
+    return _pool_hash(entropy[:-1])
 
 
 @functools.cache
@@ -267,7 +269,7 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
 
 def _first_draws(states: np.ndarray) -> np.ndarray:
     """The first next_uint64 of PCG64 seeded with each row of states (as
-    from _seed_states): numpy's seeding, inc = initseq << 1 | 1 and state =
+    from _seed_words): numpy's seeding, inc = initseq << 1 | 1 and state =
     (inc + initstate) * MULT + inc, then one step and its XSL-RR output."""
     init_hi, init_lo, seq_hi, seq_lo = states.T
     inc_hi = seq_hi << _U64_1 | seq_lo >> _U64_63
@@ -286,7 +288,7 @@ def _manufacture(chip_seeds, params: PufParams) -> np.ndarray:
     normal(nominal, sigma), so regeneration is bit-identical.  Each pass
     over whole chips, of at most _PASS_OSCILLATORS oscillators (or one chip
     when a chip has more), computes every oscillator's seed words
-    (_seed_states) and first PCG64 draw (_first_draws) and maps the draw as
+    (_seed_words) and first PCG64 draw (_first_draws) and maps the draw as
     numpy's ziggurat does; the few draws outside its fast path (the tail,
     the top layer, draws near a bound) are redrawn by the oscillator's own
     Generator."""
@@ -298,8 +300,10 @@ def _manufacture(chip_seeds, params: PufParams) -> np.ndarray:
     count = params.oscillator_count
     freqs = np.empty((len(chip_seeds), count))
     per_pass = max(1, _PASS_OSCILLATORS // count)
+    index = np.arange(count, dtype=np.uint32)
     for start in range(0, len(chip_seeds), per_pass):
-        states = _seed_states(chip_seeds[start : start + per_pass], count)
+        block = np.array(chip_seeds[start : start + per_pass], dtype=np.uint64)
+        states = _seed_words(np.repeat(block, count), np.tile(index, len(block)))
         draws = _first_draws(states)
         layer = (draws & _ZIG_LAYER).astype(np.intp)
         magnitude = draws >> _ZIG_SHIFT & _ZIG_MAG
@@ -343,23 +347,55 @@ def _response_bits(freqs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     (one chip per row) under one pairing, or for one chip under a stack of
     pairings (one challenge per row): bit j is 1 iff the frequency of pair
     j's first oscillator exceeds that of its second, so exact ties give 0."""
-    return freqs[..., pairs[..., 0]] > freqs[..., pairs[..., 1]]
+    paired = np.take(freqs, pairs, axis=-1)  # on a stack, twice as fast as two freqs[..., i]
+    return paired[..., 0] > paired[..., 1]
 
 
 def _stacked_pairs(challenges, params: PufParams) -> np.ndarray:
     """challenge_pairs of each challenge, stacked (shape (len(challenges),
     response_bits, 2)): the seed words of every default_rng([challenge,
-    _PAIRING_SALT]) come from one _pool_hash (entropy [challenge, salt, 0,
-    0]), and each challenge's generator then draws its permutation."""
-    entropy = np.zeros((_SS_POOL_SIZE, len(challenges)), dtype=np.uint32)
-    entropy[0] = challenges
-    entropy[1] = _PAIRING_SALT
+    _PAIRING_SALT]) come from one _seed_words, and each challenge's
+    generator then draws its permutation."""
     seeded_rng = _seeded_rng()
     count, width = params.oscillator_count, params.response_bits
     pairs = np.empty((len(challenges), 2 * width), dtype=np.int64)
-    for row, words in zip(pairs, _pool_hash(entropy)):
+    for row, words in zip(pairs, _seed_words(challenges, _PAIRING_SALT)):
         row[:] = seeded_rng(words).permutation(count)[: 2 * width]
     return pairs.reshape(-1, width, 2)
+
+
+def _readouts(chip: ChipFingerprint, pairs: np.ndarray, words: np.ndarray,
+              params: PufParams) -> np.ndarray:
+    """Row k is the response bits of one noisy readout of the chip under
+    pairs, by the generator seeded with row k of words.  The noise model:
+    per-oscillator sigma noise_sigma, split into a common-mode draw and
+    then one independent draw per oscillator, added as (base + common) +
+    individual.  Draws in passes of at most _PASS_OSCILLATORS oscillators
+    (or one readout)."""
+    seeded_rng = _seeded_rng()
+    common_sigma = math.sqrt(_COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma
+    individual_sigma = math.sqrt(1.0 - _COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma
+    count = params.oscillator_count
+    per_pass = min(len(words), max(1, _PASS_OSCILLATORS // count))
+    observed = np.empty((per_pass, count))
+    above = np.empty((len(words), params.response_bits), dtype=bool)
+    for start in range(0, len(words), per_pass):
+        block = words[start : start + per_pass]
+        for row, seed_words in zip(observed, block):
+            rng = seeded_rng(seed_words)
+            np.add(chip.base_frequencies, rng.normal(0.0, common_sigma), out=row)
+            row += rng.normal(0.0, individual_sigma, size=count)
+        above[start : start + len(block)] = _response_bits(observed[: len(block)], pairs)
+    return above
+
+
+def _pack(bits: np.ndarray) -> list[int]:
+    """Each row of bits (a 1-D bits is one row) as an int whose most
+    significant bit is the row's bit 0."""
+    width = bits.shape[-1]
+    data = np.packbits(bits, -1).tobytes()  # axis -1: row by row
+    size, shift = -(-width // 8), -width % 8  # bytes a row; packbits' zero fill of its last
+    return [int.from_bytes(data[i : i + size], "big") >> shift for i in range(0, len(data), size)]
 
 
 def noiseless_responses(chip: ChipFingerprint, challenges, params: PufParams) -> list[int]:
@@ -371,11 +407,7 @@ def noiseless_responses(chip: ChipFingerprint, challenges, params: PufParams) ->
     _check_chip(chip, params)
     for challenge in challenges:
         _check_challenge(challenge)
-    above = _response_bits(chip.base_frequencies, _stacked_pairs(challenges, params))
-    packed = np.packbits(above, axis=-1)
-    data, size = packed.tobytes(), packed.shape[-1]
-    shift = -params.response_bits % 8  # packbits' zero fill in each row's last byte
-    return [int.from_bytes(data[i : i + size], "big") >> shift for i in range(0, len(data), size)]
+    return _pack(_response_bits(chip.base_frequencies, _stacked_pairs(challenges, params)))
 
 
 def measure_response(
@@ -388,28 +420,18 @@ def measure_response(
 
     bit_j = 1 iff observed frequency of pair element a exceeds that of b;
     exact ties give 0; bit 0 is the most significant bit of the result.
-    Measurement noise is drawn per (seed, challenge) with per-oscillator
-    sigma = noise_sigma, split into a common-mode part and an independent
-    part.
+    Measurement noise, with noise_sigma > 0, is the _readouts draw of the
+    generator default_rng([measurement_seed, challenge, _MEASUREMENT_SALT]).
     """
     _check_u64(measurement_seed, "measurement_seed")
     _check_chip(chip, params)
     pairs = challenge_pairs(challenge, params)
-    observed = chip.base_frequencies
     if params.noise_sigma > 0:
-        rng = np.random.default_rng([measurement_seed, challenge, _MEASUREMENT_SALT])
-        common = rng.normal(0.0, math.sqrt(_COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma)
-        individual = rng.normal(
-            0.0,
-            math.sqrt(1.0 - _COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma,
-            size=params.oscillator_count,
-        )
-        observed = observed + common + individual
-    above = _response_bits(observed, pairs)
-    width = params.response_bits
-    # packbits fills the last byte's low bits with zeros: shift them off
-    packed = int.from_bytes(np.packbits(above).tobytes(), "big")
-    return Response(packed >> -width % 8, width)
+        seed = np.random.SeedSequence([measurement_seed, challenge, _MEASUREMENT_SALT])
+        above = _readouts(chip, pairs, seed.generate_state(4, np.uint64)[None], params)
+    else:
+        above = _response_bits(chip.base_frequencies, pairs)
+    return Response(_pack(above)[0], params.response_bits)
 
 
 def hamming_distance(a: Response, b: Response) -> int:
@@ -432,40 +454,21 @@ def reliability(
 
     Otherwise remeasurement m is measure_response(chip, challenge, m,
     params), batched: the pairing and the reference are drawn once, the
-    seed words of every remeasurement's generator come from one _pool_hash,
-    and the noise is drawn by those generators in passes of at most
-    _PASS_OSCILLATORS oscillators (or one remeasurement when a chip has
-    more).  The fractional distances are summed in m order, as a loop of
-    measure_response calls would sum them."""
+    seed words of every remeasurement's generator come from one
+    _seed_words, and one _readouts draws them all.  The fractional
+    distances are summed in m order, as a loop of measure_response calls
+    would sum them."""
     if n_measurements < 2:
         raise ParameterError("reliability needs at least 2 measurements")
     _check_chip(chip, params)
     _check_challenge(challenge)
     if params.noise_sigma == 0:
         return 100.0
-    if n_measurements > 2**32:  # each seed m must be one entropy word
+    if n_measurements > 2**32:
         raise ParameterError(f"reliability takes at most 2**32 measurements, got {n_measurements}")
     pairs = challenge_pairs(challenge, params)
-    entropy = np.zeros((_SS_POOL_SIZE, n_measurements), dtype=np.uint32)
-    entropy[0] = np.arange(n_measurements, dtype=np.uint32)  # default_rng([m, challenge, salt])
-    entropy[1] = challenge
-    entropy[2] = _MEASUREMENT_SALT
-    words = _pool_hash(entropy)
-    seeded_rng = _seeded_rng()
-    common_sigma = math.sqrt(_COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma
-    individual_sigma = math.sqrt(1.0 - _COMMON_MODE_VARIANCE_FRACTION) * params.noise_sigma
-    count = params.oscillator_count
-    per_pass = min(n_measurements, max(1, _PASS_OSCILLATORS // count))
-    observed = np.empty((per_pass, count))
-    above = np.empty((n_measurements, params.response_bits), dtype=bool)
-    for start in range(0, n_measurements, per_pass):
-        block = words[start : start + per_pass]
-        for row, seed_words in zip(observed, block):
-            rng = seeded_rng(seed_words)
-            # measure_response's draws and sums: (base + common) + individual
-            np.add(chip.base_frequencies, rng.normal(0.0, common_sigma), out=row)
-            row += rng.normal(0.0, individual_sigma, size=count)
-        above[start : start + len(block)] = _response_bits(observed[: len(block)], pairs)
+    words = _seed_words(np.arange(n_measurements), challenge, _MEASUREMENT_SALT)
+    above = _readouts(chip, pairs, words, params)
     reference = _response_bits(chip.base_frequencies, pairs)
     width = params.response_bits
     total = 0.0
@@ -542,11 +545,12 @@ def evaluate_population(
         # One array pass per challenge: every chip's response bits, then the
         # Hamming distance of every chip pair from |a xor b| = |a| + |b| -
         # 2 |a and b|.  einsum keeps the product off BLAS: its worker threads
-        # made a 100-chip campaign about 15% slower on a 2-vCPU host.  All of
-        # it is uint16, in place: a count or a distance is at most
-        # response_bits <= 2**15 (PufParams), so the wrapping arithmetic
-        # leaves each distance exact.
-        bits = _response_bits(freqs, challenge_pairs(cv, params)).astype(np.uint16)
+        # made a 100-chip campaign about 15% slower on a 2-vCPU host, and it
+        # is about three times faster on column-major bits.  All of it is
+        # uint16, in place: a count or a distance is at most response_bits
+        # <= 2**15 (PufParams), so the wrapping arithmetic leaves each
+        # distance exact.
+        bits = _response_bits(freqs, challenge_pairs(cv, params)).astype(np.uint16, order="F")
         ones = bits.sum(axis=1, dtype=np.uint16)
         pair_bits = np.einsum("ik,jk->ij", bits, bits)
         pair_bits *= 2

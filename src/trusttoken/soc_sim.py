@@ -169,7 +169,7 @@ class EventLog:
         self._counts: dict[str, int] = {}  # appended events per kind, transitions per outcome
         self._reasons: dict[str, int] = {}  # denied transitions per reason
         self._accesses: dict = {}  # (source, target, cost, reason) -> [issue, decision, count]
-        self._tallies: dict = {}  # (cost, reason) -> decisions written uncached
+        self._tallies: dict = {}  # (cost, reason) -> accesses written with cache false
         self._responses: dict = {}  # (IP, app) -> (text before, text after the bytes)
 
     def _record(self, cycle: int, text: str, lines: int) -> None:
@@ -186,9 +186,6 @@ class EventLog:
 
     def append(self, cycle: int, actor: str, kind: str, **detail) -> None:
         self._record(cycle, f"{cycle}\t{actor}\t{kind}\t{_encode(detail)}\n", 1)
-        if kind == "grant" or kind == "deny":  # counted as the access writer counts them
-            key = (detail["cost"], detail.get("reason", "unknown") if kind == "deny" else None)
-            self._tallies[key] = self._tallies.get(key, 0) + 1
         if kind == "transition":
             kind += "_granted" if detail["status"] == "granted" else "_denied"
         self._counts[kind] = self._counts.get(kind, 0) + 1
@@ -292,7 +289,7 @@ class Simulation:
                              for app, obj in topology.app_to_ip.items()}
         self.table = None
         self._attack_surface: dict[str, tuple] = {}
-        self._provision(initial=True)
+        self._provision()
 
         # baseline-mode state: per-object protection signal plus the
         # interconnect-level check that scenario-2 style tampering disables
@@ -301,7 +298,7 @@ class Simulation:
 
     # -- construction helpers ---------------------------------------------
 
-    def _provision(self, initial: bool) -> None:
+    def _provision(self) -> None:
         if self.mode == MODE_BASELINE:  # no controller: tied-off ar_token 0, ar_id the object id
             check_controller_fits(len(self.ip_list), self.params)
         else:
@@ -314,9 +311,8 @@ class Simulation:
         for obj, _level in self.ip_list:
             ip_id, token = (obj, 0) if self.table is None else self.table.release_credentials(obj)
             self.wrappers[obj].install_credentials(ip_id, token)
-            if initial:
-                # boot-time credentials that forge, replay and stolen-token attacks reuse
-                self._attack_surface[self.object_names[obj]] = (ip_id, token)
+            # boot-time credentials that forge, replay and stolen-token attacks reuse
+            self._attack_surface.setdefault(self.object_names[obj], (ip_id, token))
 
     # -- authorization paths ----------------------------------------------
 
@@ -417,8 +413,7 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
             _access(sim, app, target, attribute, payload, pending)
         elif entry[2] is None:  # a reprovision
             sim.epoch += 1
-            if sim.mode == MODE_TRUSTTOKEN:
-                sim._provision(initial=False)
+            sim._provision()
             sim.log.append(cycle, "controller", "reprovision", epoch=sim.epoch)
         else:
             _run_attack(sim, entry[1], entry[2], pending)

@@ -120,7 +120,7 @@ class TestRun:
 
     def test_oscillator_count_over_bound_exits_1(self, tmp_path, capsys, monkeypatch):
         # the bound holds before any array is made: seeding must not start
-        monkeypatch.setattr(puf_model, "_seed_states", lambda *args: pytest.fail("seeding started"))
+        monkeypatch.setattr(puf_model, "_seed_words", lambda *args: pytest.fail("seeding started"))
         cfg = tmp_path / "puf.cfg"
         cfg.write_text(bundled_config("smoke.cfg").read_text() + "puf: {oscillator_count: 1000000000}\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
@@ -144,6 +144,14 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: no challenge left for object 'des': every one gave a token already taken\n"
         )
+        assert not (tmp_path / "o").exists()
+
+    def test_non_real_noise_sigma_exits_1(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e5, with no dot, as a str: the error names the field
+        cfg = tmp_path / "puf.cfg"
+        cfg.write_text(bundled_config("smoke.cfg").read_text() + "puf: {noise_sigma: 1e5}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == "error: noise_sigma must be a real number, got '1e5'\n"
         assert not (tmp_path / "o").exists()
 
     def test_overflowing_sigma_exits_1(self, tmp_path, capsys):

@@ -26,7 +26,7 @@ from trusttoken.puf_model import (
     Response,
     _campaign_draws,
     _manufacture,
-    _seed_states,
+    _seed_words,
     _stacked_pairs,
     _ziggurat,
     challenge_pairs,
@@ -57,17 +57,6 @@ def reference_frequencies(chip_seed, params):
     )
 
 
-def reference_reliability(chip, challenge, n_measurements, params):
-    """reliability's oracle: n_measurements noisy remeasurements against the
-    noiseless reference response, also when the noise is zero."""
-    reference = measure_response(chip, challenge, 0, dataclasses.replace(params, noise_sigma=0.0))
-    total = 0.0
-    for m in range(n_measurements):
-        remeasured = measure_response(chip, challenge, m, params)
-        total += hamming_distance(reference, remeasured) / reference.width
-    return 100.0 - 100.0 * total / n_measurements
-
-
 def reference_response(chip, challenge, measurement_seed, params):
     """measure_response's oracle: per-pair comparisons joined as '0'/'1'."""
     observed = np.asarray(chip.base_frequencies, dtype=float)
@@ -82,6 +71,18 @@ def reference_response(chip, challenge, measurement_seed, params):
         observed = observed + common + individual
     pairs = challenge_pairs(challenge, params)
     return response("".join("1" if observed[a] > observed[b] else "0" for a, b in pairs))
+
+
+def reference_reliability(chip, challenge, n_measurements, params):
+    """reliability's oracle: n_measurements reference_response remeasurements
+    against the noiseless one, also when the noise is zero."""
+    quiet = dataclasses.replace(params, noise_sigma=0.0)
+    reference = reference_response(chip, challenge, 0, quiet)
+    total = 0.0
+    for m in range(n_measurements):
+        remeasured = reference_response(chip, challenge, m, params)
+        total += hamming_distance(reference, remeasured) / reference.width
+    return 100.0 - 100.0 * total / n_measurements
 
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -119,6 +120,8 @@ class TestParams:
             {"nominal_frequency": False},
             {"process_variation_sigma": True},
             {"noise_sigma": True},
+            {"noise_sigma": "1e5"},
+            {"noise_sigma": None},
             # a sigma whose 40-sigma frequency overflows a float64
             {"process_variation_sigma": 1.0e308},
             {"process_variation_sigma": 4.5e306},
@@ -183,14 +186,37 @@ class TestBatchedSeeding:
 
     @pytest.mark.parametrize("k", range(len(EDGE_SEEDS + RANDOM_SEEDS)),
                              ids=[str(seed) for seed in EDGE_SEEDS + RANDOM_SEEDS])
-    def test_seed_states_match_seed_sequence(self, k):
-        # one call over one- and two-word seeds; this case checks seed k's rows
+    def test_seed_words_match_seed_sequence(self, k):
+        # _manufacture's layout, one call over one- and two-word seeds; this
+        # case checks seed k's rows
         seeds = EDGE_SEEDS + RANDOM_SEEDS
-        states = _seed_states(seeds, 1000)
-        assert states.shape == (1000 * len(seeds), 4) and states.dtype == np.uint64
+        words = _seed_words(np.repeat(np.array(seeds, dtype=np.uint64), 1000),
+                            np.tile(np.arange(1000), len(seeds)))
+        assert words.shape == (1000 * len(seeds), 4) and words.dtype == np.uint64
         for i in (0, 1, 2, 511, 999):
             expected = np.random.SeedSequence([seeds[k], i]).generate_state(4, np.uint64)
-            assert states[k * 1000 + i].tolist() == expected.tolist()
+            assert words[k * 1000 + i].tolist() == expected.tolist()
+
+    @settings(deadline=None)  # max_examples from the profile: 100 by default
+    @given(
+        seeds=st.lists(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+                       min_size=1, max_size=8),
+        data=st.data(),
+    )
+    def test_seed_words_match_seed_sequence_on_drawn_words(self, seeds, data):
+        # SeedSequence's pool holds 4 words: up to 2 tail words after a
+        # two-word seed, 3 after one-word seeds only
+        most = 3 if max(seeds) < 2**32 else 2
+        words = st.sampled_from([0, 1, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+        tail = data.draw(st.lists(words | st.lists(words, min_size=len(seeds),
+                                                   max_size=len(seeds)).map(np.array),
+                                  max_size=most), label="tail")
+        rows = _seed_words(seeds, *tail)
+        assert rows.shape == (len(seeds), 4) and rows.dtype == np.uint64
+        for j, seed in enumerate(seeds):
+            row_tail = [int(word[j]) if isinstance(word, np.ndarray) else word for word in tail]
+            expected = np.random.SeedSequence([seed, *row_tail]).generate_state(4, np.uint64)
+            assert rows[j].tolist() == expected.tolist()
 
     @pytest.mark.parametrize("params", PARAM_SETS)
     @pytest.mark.parametrize("chip_seed", EDGE_SEEDS + RANDOM_SEEDS)
@@ -478,7 +504,6 @@ class TestReliability:
         assert reliability(chip, 2, 20, params) == expected
 
     def test_measurement_count_bounded_before_any_draw(self, chip, monkeypatch):
-        # each measurement seed must be one entropy word of the batched hash
         monkeypatch.setattr(puf_model, "_pool_hash", lambda *args: pytest.fail("hashed"))
         with pytest.raises(ParameterError, match=r"at most 2\*\*32 measurements"):
             reliability(chip, 2, 2**32 + 1, PufParams(noise_sigma=1e5))
