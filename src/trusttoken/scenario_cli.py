@@ -143,7 +143,7 @@ def load_config(path: Path) -> dict:
     which alone handles those constructs.  Every error, of the file, the
     parser or a scalar's constructor, is a ConfigurationError of one line."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     try:
@@ -277,8 +277,8 @@ def cmd_run(config_path: str, mode_override=None, seed_override=None, out_path="
 
     out = Path(out_path)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(summary.to_json())
-    (out / "events.log").write_text(log.to_text())
+    (out / "report.json").write_text(summary.to_json(), encoding="utf-8")
+    (out / "events.log").write_text(log.to_text(), encoding="utf-8")
     print(f"mode={mode} verdict={summary.verdict} grants={summary.grants} denies={summary.denies}")
     return 2 if summary.verdict == "BREACHED" else 0
 
@@ -317,7 +317,8 @@ def cmd_puf_eval(chips: int, challenges: int, seed: int, out_path: str,
         "reliability_noisy_pct": reliability_noisy,
         "fraction_in_40_60_band": metrics.fraction_in_band(),
     }
-    (out / "metrics.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    metrics_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    (out / "metrics.json").write_text(metrics_text, encoding="utf-8")
     # The rows csv.writer would write (no field needs quoting).  The rows
     # (a, b) of one challenge and one first chip a are one join of strings
     # made once per chip, once per challenge and once per distance value,
@@ -325,7 +326,7 @@ def cmd_puf_eval(chips: int, challenges: int, seed: int, out_path: str,
     n_chips, width = metrics.n_chips, metrics.response_bits
     tails = [f"{d},{d / width:.6f}\r\n" for d in range(width + 1)]
     chips = [f"{b}," for b in range(n_chips)]
-    with (out / "hamming.csv").open("w", newline="") as fh:
+    with (out / "hamming.csv").open("w", newline="", encoding="utf-8") as fh:
         fh.write("challenge,chip_a,chip_b,distance_bits,distance_frac\r\n")
         block, rows = [], 0
         for c, row in zip(metrics.challenges, metrics.distances):

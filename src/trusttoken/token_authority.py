@@ -115,16 +115,19 @@ def provision(
     256-bit response (``response_bits`` must be 256), and at most 256 IPs
     take the ids 0..255.
 
-    The order is one permutation of the 65,536 challenges.  The first
-    batch of challenges, one per IP, takes all its tokens from one
-    noiseless_responses call.  A token collision is a logged fault: the
-    colliding IP takes the challenge after, so the challenges go to the IPs
-    in the order a one-at-a-time draw would give, and any challenge left
-    over in a batch goes to no IP.  Each re-key batch is twice the size of
-    the one before, up to _MAX_REKEY_BATCH challenges, so that a chip whose
-    responses are all alike runs out of the order in few calls.  The IP
-    that is then left without a token is a ProvisioningError, which names
-    it as object_names[obj] when names are given.
+    The order is one seeded permutation of the 65,536 challenges, shuffled
+    lazily front to back (Durstenfeld): position t swaps with position
+    t + integers(0, 0x10000 - t), so a provisioning draws only the
+    challenges it reads.  The first batch, one challenge per IP, takes all
+    its tokens from one noiseless_responses call.  A token collision is a
+    logged fault: the colliding IP takes the challenge after, so the
+    challenges go to the IPs in the order a one-at-a-time draw would give,
+    and any challenge left over in a batch goes to no IP.  Each re-key
+    batch is twice the size of the one before, up to _MAX_REKEY_BATCH
+    challenges, so that a chip whose responses are all alike runs out of
+    the order in few calls.  The IP that is then left without a token is a
+    ProvisioningError, which names it as object_names[obj] when names are
+    given.
     """
     if not ip_list:
         raise ProvisioningError("ip_list must not be empty")
@@ -134,20 +137,24 @@ def provision(
     check_controller_fits(len(ip_list), params)
 
     rng = np.random.default_rng([master_seed, epoch, _PROVISION_SALT])
-    challenge_order = rng.permutation(0x10000)
+    moved: dict[int, int] = {}  # position -> the challenge a swap put there
     quiet = dataclasses.replace(params, noise_sigma=0.0)
 
     entries: dict[int, _Entry] = {}
     seen_tokens: set[int] = set()
     drawn, size = 0, len(ip_list)
     while len(entries) < len(ip_list):
-        if drawn == len(challenge_order):
+        if drawn == 0x10000:
             obj = ip_list[len(entries)][0]
             name = obj if object_names is None else repr(object_names[obj])
             raise ProvisioningError(
                 f"no challenge left for object {name}: every one gave a token already taken"
             )
-        batch = challenge_order[drawn : drawn + size].tolist()
+        batch = []
+        highs = np.arange(0x10000 - drawn, max(0x10000 - drawn - size, 0), -1)
+        for t, r in enumerate(rng.integers(0, highs).tolist(), drawn):
+            batch.append(moved.get(t + r, t + r))
+            moved[t + r] = moved.pop(t, t)
         drawn += len(batch)
         size = min(2 * size, _MAX_REKEY_BATCH)
         for token in noiseless_responses(chip, batch, quiet):

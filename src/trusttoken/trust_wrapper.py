@@ -97,8 +97,10 @@ class TrustWrapper:
         self._issue_counter = 0
 
     def install_credentials(self, ip_id: int, token: int) -> None:
-        """Controller-side boot push; overwritten on re-provisioning."""
-        self.sideband = SidebandSignals(token, ip_id)
+        """Controller-side boot push; a re-provisioning replaces it unless it is unchanged."""
+        old = self.sideband
+        if old is None or old.ar_token != token or old.ar_id != ip_id:
+            self.sideband = SidebandSignals(token, ip_id)
 
     def issue(
         self,

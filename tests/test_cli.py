@@ -492,6 +492,31 @@ class TestRun:
         for name in ("events.log", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("name, encoded", [
+        ('"app\\u00e9"', "ascii"),  # an ASCII file naming its app with a YAML escape
+        ("appé", "utf-8"),  # the name as raw UTF-8 bytes
+    ], ids=["escaped", "raw-utf-8"])
+    def test_files_are_utf_8_under_any_locale(self, tmp_path, name, encoded):
+        """A config is read, and report.json and events.log are written, as
+        UTF-8 whatever the locale: under the ASCII C locale a non-ASCII app
+        name gives the verdict's exit code and the bytes a UTF-8 locale gives."""
+        cfg = tmp_path / "utf8.cfg"
+        cfg.write_bytes(bundled_config("smoke.cfg").read_text(encoding="utf-8")
+                        .replace("app1", name).encode(encoded))
+        code = "import sys; from trusttoken.scenario_cli import main; sys.exit(main(sys.argv[1:]))"
+        outputs = []
+        for locale in ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                       {"PYTHONUTF8": "1"}):
+            out = tmp_path / locale["PYTHONUTF8"]
+            env = {**os.environ, **locale,
+                   "PYTHONPATH": str(Path(trusttoken.__file__).parents[1])}
+            done = subprocess.run([sys.executable, "-c", code, "run", "--config", str(cfg),
+                                   "--out", str(out)], env=env, capture_output=True, text=True)
+            assert (done.returncode, done.stderr) == (0, ""), locale  # smoke.cfg has no attack
+            outputs.append([(out / f).read_bytes() for f in ("report.json", "events.log")])
+        assert outputs[0] == outputs[1]
+        assert "appé\tissue".encode() in outputs[0][1]
+
     def test_smoke_config(self, tmp_path):
         rc = run_cli("run", "--config", str(bundled_config("smoke.cfg")), "--out", str(tmp_path / "smoke"))
         assert rc == 0

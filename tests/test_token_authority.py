@@ -63,6 +63,22 @@ def txn_for(creds, source_obj, target_obj, kind=AccessAttribute.READ, serial=1):
     )
 
 
+def reference_order(master_seed, epoch, k):
+    """provision's first k challenges, one at a time: Durstenfeld's shuffle
+    of 0..0xFFFF run front to back, with one scalar draw and one swap in a
+    plain list per step, from the same seeded generator."""
+    rng = np.random.default_rng([master_seed, epoch, _PROVISION_SALT])
+    order = list(range(0x10000))
+    for t in range(k):
+        j = t + int(rng.integers(0, 0x10000 - t))
+        order[t], order[j] = order[j], order[t]
+        yield order[t]
+
+
+def response(chip, params, challenge):
+    return measure_response(chip, challenge, 0, params).bits
+
+
 class TestProvision:
     def test_four_ips_distinct_tokens(self, table):
         creds = release_all(table)
@@ -108,12 +124,14 @@ class TestProvision:
         t = provision(chip, default_params, IP_LIST, master_seed=99, on_fault=faults.append)
         # the second IP's first draw repeats the first IP's token
         assert faults == [{"event": "token_collision", "object": OBJECTS[1]}]
-        tokens = [tok for _, tok in release_all(t).values()]
-        assert len(set(tokens)) == len(tokens)
         # one re-key batch, twice the first's size; only its first challenge is used
         assert [len(batch) for batch in colliding_draws] == [len(OBJECTS), 2 * len(OBJECTS)]
-        order = np.random.default_rng([99, 0, _PROVISION_SALT]).permutation(0x10000)
-        assert sum(colliding_draws, []) == order[: 3 * len(OBJECTS)].tolist()
+        order = list(reference_order(99, 0, 3 * len(OBJECTS)))
+        assert sum(colliding_draws, []) == order
+        # the first IP takes challenge 0, the second skips challenge 1, which
+        # collided, and the last takes the re-key batch's first, challenge 4
+        assert release_all(t) == {obj: (i, response(chip, default_params, order[c]))
+                                  for i, (obj, c) in enumerate(zip(OBJECTS, (0, 2, 3, 4)))}
 
     def test_exhausted_challenges_name_the_object(self, chip, default_params, monkeypatch):
         # every response alike: the first IP takes it, and every later
@@ -135,8 +153,9 @@ class TestProvision:
         # order: 72 calls, where a batch of one challenge per IP left took 21,845
         sizes = [4 << k for k in range(8)] + [1024] * 63 + [4]
         assert [len(batch) for batch in batches] == sizes
-        order = np.random.default_rng([99, 0, _PROVISION_SALT]).permutation(0x10000)
-        assert sum(batches, []) == order.tolist()
+        drawn = sum(batches, [])
+        assert sorted(drawn) == list(range(0x10000))  # each challenge exactly once
+        assert drawn == list(reference_order(99, 0, 0x10000))
 
     def test_exhausted_challenges_name_the_object_by_id_without_names(
         self, chip, default_params, monkeypatch
@@ -204,14 +223,13 @@ class TestAuthorize:
 
 
 def reference_tokens(chip, params, n_ips, master_seed, epoch):
-    """provision's oracle: one measure_response per challenge, in the order
-    of the same seeded permutation, skipping a token already taken."""
-    order = np.random.default_rng([master_seed, epoch, _PROVISION_SALT]).permutation(0x10000)
+    """provision's oracle: one measure_response per challenge, in
+    reference_order, skipping a token already taken."""
     tokens = []
-    for challenge in order.tolist():
+    for challenge in reference_order(master_seed, epoch, 0x10000):
         if len(tokens) == n_ips:
             break
-        token = measure_response(chip, challenge, 0, params).bits
+        token = response(chip, params, challenge)
         if token not in tokens:
             tokens.append(token)
     return tokens
@@ -229,6 +247,37 @@ def test_provision_matches_per_challenge_oracle(chip, default_params, master_see
     credentials = [table.release_credentials(obj) for obj, _ in ips]
     expected = reference_tokens(chip, default_params, n_ips, master_seed, epoch)
     assert credentials == list(enumerate(expected))
+
+
+@settings(deadline=None)  # max_examples from the profile: 100 by default
+@given(
+    master_seed=st.integers(0, 2**64 - 1),
+    epoch=st.integers(0, 2**40),
+    n_ips=st.integers(1, 256),
+    alike=st.integers(1, 2000),
+)
+def test_challenge_order_is_batch_independent(chip, default_params, master_seed, epoch, n_ips,
+                                              alike):
+    """The first `alike` challenges drawn all give token 0 and each later
+    one a new token, so every IP after the first waits through alike - 1
+    collisions and re-key batches of growing size: the challenges drawn,
+    in every batch layout, are reference_order's, and IP i > 0 takes the
+    token of draw alike - 1 + i."""
+    batches, draws = [], itertools.count()
+
+    def responses(chip, challenges, params):
+        batches.append(challenges)
+        return [max(next(draws) - alike + 1, 0) for _ in challenges]
+
+    faults = []
+    ips = [(obj, IntegrityLevel.HIGH) for obj in range(n_ips)]
+    with mock.patch.object(token_authority, "noiseless_responses", responses):
+        table = provision(chip, default_params, ips, master_seed, epoch, on_fault=faults.append)
+    drawn = sum(batches, [])
+    assert drawn == list(reference_order(master_seed, epoch, len(drawn)))
+    assert len(faults) == (alike - 1 if n_ips > 1 else 0)
+    assert [table.release_credentials(obj) for obj, _ in ips] == [(0, 0)] + [
+        (i, i) for i in range(1, n_ips)]
 
 
 def test_authorize_is_evaluate_on_high_targets(chip, default_params):

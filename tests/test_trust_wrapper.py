@@ -105,6 +105,22 @@ class TestIssue:
         assert repr(txn) == repr(built)
 
 
+class TestInstallCredentials:
+    def test_equal_credentials_keep_the_sideband(self, wrapper):
+        sideband = wrapper.sideband
+        wrapper.install_credentials(3, TOKEN)
+        assert wrapper.sideband is sideband
+
+    @pytest.mark.parametrize("ip_id, token", [(4, TOKEN), (3, TOKEN ^ 1), (4, TOKEN ^ 1)])
+    def test_changed_credentials_build_a_new_sideband(self, wrapper, ip_id, token):
+        sideband = wrapper.sideband
+        wrapper.install_credentials(ip_id, token)
+        assert wrapper.sideband is not sideband
+        assert (wrapper.sideband.ar_id, wrapper.sideband.ar_token) == (ip_id, token)
+        txn = wrapper.issue(OBJ, AccessAttribute.READ, b"", source=PROC)
+        assert txn.sideband is wrapper.sideband
+
+
 class TestDeliver:
     def test_granted_runs_stub(self, wrapper):
         txn = wrapper.issue(OBJ, AccessAttribute.READ, b"abc", source=PROC)
