@@ -255,7 +255,7 @@ def parse_puf_params(section) -> PufParams:
     if not isinstance(section, dict):
         raise ConfigurationError(f"puf section must be a mapping, got {section!r}")
     try:
-        return PufParams(**{k: v for k, v in section.items()})
+        return PufParams(**section)
     except TypeError as exc:
         raise ConfigurationError(f"puf section: {exc}") from exc
 

@@ -39,7 +39,7 @@ from .token_authority import (
     provision,
     request_integrity_transition,
 )
-from .trust_wrapper import SidebandSignals, TrustWrapper, WrappedTransaction, standard_stub
+from .trust_wrapper import TrustWrapper, WrappedTransaction, standard_stub
 
 MODE_TRUSTTOKEN = "trusttoken"
 MODE_BASELINE = "trustzone-baseline"
@@ -156,7 +156,7 @@ class EventLog:
     that :func:`report` reads are kept at the same time.  The hot records
     have two writers, :meth:`access` and :meth:`responses`, which format
     only the cycle (and a response's bytes) per record and take the rest
-    from text cached per key; the rare kinds go through :meth:`append`.
+    from an access's cached entry; the rare kinds go through :meth:`append`.
     Lines are joined into chunks of about ``_CHUNK`` lines, so the log
     holds its text about once."""
 
@@ -168,9 +168,10 @@ class EventLog:
         self._cycle = 0
         self._counts: dict[str, int] = {}  # appended events per kind, transitions per outcome
         self._reasons: dict[str, int] = {}  # denied transitions per reason
-        self._accesses: dict = {}  # (source, target, cost, reason) -> [issue, decision, count]
+        # (source, target, cost, reason) -> [issue, decision, count, response text
+        # before and after the bytes]
+        self._accesses: dict = {}
         self._tallies: dict = {}  # (cost, reason) -> accesses written with cache false
-        self._responses: dict = {}  # (IP, app) -> (text before, text after the bytes)
 
     def _record(self, cycle: int, text: str, lines: int) -> None:
         """Add text, lines lines at one cycle; every writer ends here."""
@@ -194,35 +195,35 @@ class EventLog:
             self._reasons[reason] = self._reasons.get(reason, 0) + 1
 
     def access(self, cycle: int, source: str, target: str, cost: int,
-               reason: Optional[str] = None, cache: bool = True) -> None:
+               reason: Optional[str] = None, cache: bool = True) -> list:
         """Write an access's issue line and its grant line, or with a reason
         its deny line, from text cached per (source, target, cost, reason);
-        cache false, for names outside the topology, keeps them out of it."""
+        cache false, for names outside the topology, keeps them out of it.
+        Returns the entry, which :meth:`responses` writes a grant's response
+        line from."""
         key = (source, target, cost, reason)
         entry = self._accesses.get(key)
         if entry is None:
-            target_text = _encode_str(target)  # the text of json.dumps, keys in sorted order
+            source_text = _encode_str(source)  # the text of json.dumps, keys in sorted order
+            target_text = _encode_str(target)
             denied = "" if reason is None else f'"reason": {_encode_str(reason)}, '
             entry = [f'\t{source}\tissue\t{{"target": {target_text}}}\n',
                      f'\tcontroller\t{"deny" if denied else "grant"}\t{{"cost": {cost}, {denied}'
-                     f'"source": {_encode_str(source)}, "target": {target_text}}}\n', 0]
+                     f'"source": {source_text}, "target": {target_text}}}\n', 0,
+                     f'\t{target}\tresponse\t{{"bytes": "', f'", "to": {source_text}}}\n']
             if cache:
                 self._accesses[key] = entry
             else:
                 self._tallies[cost, reason] = self._tallies.get((cost, reason), 0) + 1
         entry[2] += 1
         self._record(cycle, f"{cycle}{entry[0]}{cycle}{entry[1]}", 2)
+        return entry
 
     def responses(self, due: list) -> None:
-        """Write a run of response lines, each given as (cycle, IP, app, hex
-        bytes), from text cached per (IP, app)."""
-        texts = self._responses
-        for cycle, ip, to, hex_bytes in due:  # hex digits need no escaping
-            text = texts.get((ip, to))
-            if text is None:
-                text = texts[ip, to] = (f'\t{ip}\tresponse\t{{"bytes": "',
-                                        f'", "to": {_encode_str(to)}}}\n')
-            self._record(cycle, f"{cycle}{text[0]}{hex_bytes}{text[1]}", 1)
+        """Write a run of response lines, each given as (cycle, the entry
+        :meth:`access` returned for its grant, hex bytes)."""
+        for cycle, entry, hex_bytes in due:  # hex digits need no escaping
+            self._record(cycle, f"{cycle}{entry[3]}{hex_bytes}{entry[4]}", 1)
 
     def __len__(self) -> int:
         return self._events
@@ -397,7 +398,7 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
         if cycle < max_cycles:
             entries.append(entry)
     entries.sort(key=_first)  # stable: script order within a cycle
-    pending = []  # deferred responses (due cycle, IP, app, hex bytes)
+    pending = []  # deferred responses (due cycle, access log entry, hex bytes)
 
     def flush(up_to: int) -> None:
         due = bisect_right(pending, up_to, key=_first)
@@ -422,13 +423,15 @@ def run(sim: Simulation, script: Sequence[ScriptEntry], max_cycles: int) -> Even
 
 
 def _access(sim: Simulation, app: str, target: str, attribute: AccessAttribute,
-            payload: bytes, pending, sideband: Optional[SidebandSignals] = None) -> bool:
+            payload: bytes, pending, sideband: Optional[tuple[int, int]] = None) -> bool:
     """One bus access from app to target: deny an unknown app or target as
     malformed at cycle cost 1, else authorize, log the issue and outcome
     records and deliver on grant, its response due cycle_cost cycles later
-    (FIFO within a cycle).  The app's own wrapper issues the transaction
-    unless an attacker-chosen sideband is given; that bypasses the wrapper
-    and is the only forgery path in the simulator.  Returns granted."""
+    (FIFO within a cycle) and written from the access's log entry.  The
+    app's own wrapper issues the transaction unless an attacker-chosen
+    sideband, an (ar_token, ar_id) pair of ints, is given; that bypasses
+    the wrapper and is the only forgery path in the simulator.  Returns
+    granted."""
     cycle = sim.cycle
     proc = sim.apps.get(app)
     obj = sim.objects.get(target)
@@ -439,13 +442,13 @@ def _access(sim: Simulation, app: str, target: str, attribute: AccessAttribute,
         txn = sim.app_wrappers[app].issue(obj, attribute, payload, source=proc)
     else:
         sim._forge_serial -= 1
-        txn = WrappedTransaction(proc, obj, attribute, payload, sideband, sim._forge_serial)
+        txn = WrappedTransaction(proc, obj, attribute, payload, *sideband, sim._forge_serial)
     outcome = sim._authorize(txn)
     granted, cost, reason, _ = outcome
-    sim.log.access(cycle, app, target, cost, None if granted else reason.value)
+    entry = sim.log.access(cycle, app, target, cost, None if granted else reason.value)
     if granted:
         response = sim.wrappers[obj].deliver(txn, outcome)
-        insort(pending, (cycle + cost, target, app, response.hex()), key=_first)
+        insort(pending, (cycle + cost, entry, response.hex()), key=_first)
     return granted
 
 
@@ -547,8 +550,7 @@ def _run_attack(sim: Simulation, attack: AttackInjection, args: dict, pending) -
         if attack.kind is AttackKind.FORGE_TOKEN:
             token ^= 1 << 255 - args["flip_bit"]  # bit 0 is the most significant
         blocked = not _access(  # a forged or replayed access carries no payload
-            sim, args["app"], target, args["attribute"], b"", pending,
-            SidebandSignals(token, ip_id),
+            sim, args["app"], target, args["attribute"], b"", pending, (token, ip_id),
         )
 
     elif attack.kind is AttackKind.TAMPER_INTEGRITY_LEVEL:

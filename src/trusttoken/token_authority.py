@@ -187,8 +187,7 @@ def authorize(table: TokenTable, txn, policy: SystemModel) -> AuthorizationOutco
     if policy is not table._policy:
         table._decisions.clear()
         table._policy = policy
-    source, target, kind, _, sideband, serial = txn
-    token, ip_id = sideband.ar_token, sideband.ar_id
+    source, target, kind, _, token, ip_id, serial = txn
     key = (source.owner, source.index, target, kind, token, ip_id)
     decision = table._decisions.get(key)
     if decision is None:

@@ -1,15 +1,15 @@
 """Security wrapper around an untrusted IP core.
 
-The wrapper builds its sideband signals once from each provisioned
-(ar_id, ar_token), stamps them onto every transaction it issues, and
+The wrapper holds its provisioned sideband signals, a 256-bit ar_token
+and an 8-bit ar_id, stamps both onto every transaction it issues, and
 gates the data channel: the hosted stub runs only on transactions the
-controller has granted.
+controller has granted.  A target's integrity level is the token
+table's, so no bus signal carries one.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from operator import methodcaller
 from typing import Callable, NamedTuple, Optional
 
@@ -18,21 +18,13 @@ from .policy_engine import AccessAttribute, ProcessId
 from .token_authority import AuthorizationOutcome
 
 
-@dataclass(frozen=True)
-class SidebandSignals:
-    """The extra bus signals: 256-bit token and 8-bit id.  A target's
-    integrity level is the token table's, so no bus signal carries one."""
-
-    ar_token: int
-    ar_id: int
-
-
 class WrappedTransaction(NamedTuple):
     source: ProcessId
     target: int
     kind: AccessAttribute
     payload: bytes
-    sideband: SidebandSignals
+    ar_token: int
+    ar_id: int
     serial: int
 
 
@@ -87,20 +79,19 @@ def standard_stub(name: str) -> Callable[[bytes], bytes]:
 
 class TrustWrapper:
     """One wrapped IP: holds the stub, its object id, and (after
-    provisioning) the sideband signals its transactions carry."""
+    provisioning) the ar_token and ar_id its transactions carry."""
 
     def __init__(self, stub: Callable[[bytes], bytes], obj: int):
         self.stub = stub
         self.object = obj
-        self.sideband: Optional[SidebandSignals] = None  # set by provisioning
+        self.ar_token: Optional[int] = None  # both set by provisioning
+        self.ar_id: Optional[int] = None
         self.stub_invocations = 0
         self._issue_counter = 0
 
     def install_credentials(self, ip_id: int, token: int) -> None:
-        """Controller-side boot push; a re-provisioning replaces it unless it is unchanged."""
-        old = self.sideband
-        if old is None or old.ar_token != token or old.ar_id != ip_id:
-            self.sideband = SidebandSignals(token, ip_id)
+        """Controller-side boot push; a re-provisioning replaces both signals."""
+        self.ar_token, self.ar_id = token, ip_id
 
     def issue(
         self,
@@ -110,14 +101,14 @@ class TrustWrapper:
         *,
         source: ProcessId,
     ) -> WrappedTransaction:
-        """Create a transaction carrying this wrapper's own sideband verbatim."""
-        if self.sideband is None:
+        """Create a transaction carrying this wrapper's own ar_token and ar_id verbatim."""
+        if self.ar_token is None:
             raise ConfigurationError(f"wrapper for {self.object} is not provisioned")
         if kind == 0:  # AccessAttribute.NONE, compared without the class attribute read
             raise ParameterError("transaction kind needs at least one access bit")
         self._issue_counter += 1
         return tuple.__new__(WrappedTransaction, (  # no Python-level constructor frame
-            source, target, kind, bytes(payload), self.sideband, self._issue_counter))
+            source, target, kind, bytes(payload), self.ar_token, self.ar_id, self._issue_counter))
 
     def deliver(
         self, txn: WrappedTransaction, outcome: AuthorizationOutcome

@@ -334,11 +334,20 @@ class TestRun:
             ("max_cycles: 100", "max_cycles: -3"),
             ("payload: \"00ff\"}", "payload: \"00ff\"}\n  - {cycle: 5, type: attack, kind: forge_token,"
              " app: app1, target: aes, flip_bit: 1.9}"),
+            # a missing key, a puf key PufParams does not take, and an app_map naming no app
+            ("{cycle: 1, type: access,", "{type: access,"),
+            ("payload: \"00ff\"}", "payload: \"00ff\"}\n  - {cycle: 5, type: attack,"
+             " app: app1, target: aes}"),
+            ("max_cycles: 100", "max_cycles: 100\npuf: {bogus: 1}"),
+            ("max_cycles: 100", "max_cycles: 100\npuf: {1: 2}"),
+            ("app_map: {app1: aes}", "app_map: {app1: aes, ghost: aes}"),
         ],
         ids=["seed-inf", "max_cycles-inf", "cycle-inf", "flip_bit-inf", "puf-list", "puf-str",
              "puf-false", "puf-empty-list", "puf-zero", "puf-bool-noise_sigma",
              "puf-bool-process_variation_sigma", "puf-bool-nominal_frequency", "app_map-list", "cycle-float", "cycle-bool",
-             "seed-float", "max_cycles-float", "max_cycles-negative", "flip_bit-float"],
+             "seed-float", "max_cycles-float", "max_cycles-negative", "flip_bit-float",
+             "access-no-cycle", "attack-no-kind", "puf-unknown-key", "puf-int-key",
+             "app_map-unknown-app"],
     )
     def test_config_value_of_the_wrong_kind_exits_1(self, tmp_path, capsys, old, new):
         text = bundled_config("smoke.cfg").read_text()

@@ -39,7 +39,7 @@ from trusttoken.soc_sim import (
     run,
 )
 from trusttoken.token_authority import AuthorizationOutcome
-from trusttoken.trust_wrapper import SidebandSignals, WrappedTransaction
+from trusttoken.trust_wrapper import WrappedTransaction
 
 R = AccessAttribute.READ
 RWE = AccessAttribute.READ | AccessAttribute.WRITE | AccessAttribute.EXECUTE
@@ -205,14 +205,14 @@ class TestBaselineHasNoController:
     def test_baseline_sideband_is_tied_off_and_forged_from(self):
         sim = build(paper_topology(), 3, mode=MODE_BASELINE)
         assert sim.chip is None and sim.table is None
-        assert [w.sideband for w in sim.wrappers] == [SidebandSignals(0, obj) for obj in range(4)]
+        assert [(w.ar_token, w.ar_id) for w in sim.wrappers] == [(0, obj) for obj in range(4)]
         sent = []
         authorize = sim._authorize
-        sim._authorize = lambda txn: sent.append(txn.sideband) or authorize(txn)
+        sim._authorize = lambda txn: sent.append((txn.ar_token, txn.ar_id)) or authorize(txn)
         attack = AttackInjection(AttackKind.FORGE_TOKEN, 10,
                                  {"app": "app4", "target": "rsa", "flip_bit": 255})
         summary = report(run(sim, [attack], 100))
-        assert sent == [SidebandSignals(1, 3)]
+        assert sent == [(1, 3)]
         assert summary.verdict == "BREACHED"  # baseline reads no token
 
 
@@ -273,7 +273,6 @@ class TestRun:
         log = run(sim, script, 20_000)
         assert {key[:2] for key in log._accesses} == {(a, t) for a in APPS for t in OBJECTS}
         assert len(log._accesses) <= len(APPS) * len(OBJECTS) * 2  # a grant and one deny reason
-        assert set(log._responses) == {(t, a) for a, t in topology.app_to_ip.items()}
         summary = report(log)
         assert dict(summary.denials_by_reason)["malformed"] == 10_001
         assert summary == log_oracle.report(log)
@@ -408,12 +407,12 @@ class TestForgeAndReplay:
         boot_id, boot_token = sim._attack_surface["rsa"]
         sent = []
         authorize = sim._authorize
-        sim._authorize = lambda txn: sent.append(txn.sideband) or authorize(txn)
+        sim._authorize = lambda txn: sent.append((txn.ar_id, txn.ar_token)) or authorize(txn)
         bits = (0, 5, 255)
         run(sim, [AttackInjection(AttackKind.FORGE_TOKEN, 10 + bit,
                                   {"app": "app4", "target": "rsa", "flip_bit": bit})
                   for bit in bits], 300)
-        assert [(s.ar_id, s.ar_token) for s in sent] == [
+        assert sent == [
             (boot_id, string_flip(boot_token, bit)) for bit in bits]
 
     def test_replay_same_epoch_succeeds(self):
@@ -572,8 +571,7 @@ class TestAttackChecks:
         "record",
         [
             TransactionIntent(10, "app1", "aes", R),
-            WrappedTransaction(ProcessId(0, 0), 0, R, b"",
-                               SidebandSignals(1, 0), 1),
+            WrappedTransaction(ProcessId(0, 0), 0, R, b"", 1, 0, 1),
             AuthorizationOutcome(True, 2, serial=1),
         ],
         ids=["intent", "transaction", "outcome"],
@@ -732,23 +730,30 @@ def _line(cycle, actor, kind, detail):
     return f"{cycle}\t{actor}\t{kind}\t" + json.dumps(detail, sort_keys=True) + "\n"
 
 
-def _write(log, cycle, kind, fields):
+def _write(log, cycle, kind, fields, sent):
     """Call the writer of a drawn record at cycle, and return the lines it
     must write and the cycle of the last one.  An access is (source,
-    target, cost, reason, cache); responses are a run of (step, IP, app,
-    hex bytes), each at the cycle before it plus its step."""
+    target, cost, reason, cache); responses are a run of (step, pick, hex
+    bytes), each at the cycle before it plus its step.  sent maps (app,
+    IP) to the entry ``access`` last returned for it, and a response is to
+    its pick-th pair, modulo their number; with none, no response is
+    written."""
     if kind == "access":
         source, target, cost, reason, cache = fields
-        log.access(cycle, source, target, cost, reason, cache=cache)
+        entry = log.access(cycle, source, target, cost, reason, cache=cache)
+        if not any(c in target for c in "\t\r\n"):  # a name the log can write as an actor
+            sent[source, target] = entry
         decision = {"cost": cost, "source": source, "target": target}
         if reason is not None:
             decision["reason"] = reason
         return cycle, [_line(cycle, source, "issue", {"target": target}),
                        _line(cycle, "controller", "grant" if reason is None else "deny", decision)]
     due, lines = [], []
-    for step, ip, to, hex_bytes in fields:
+    pairs = list(sent)
+    for step, pick, hex_bytes in fields if pairs else ():
+        to, ip = pairs[pick % len(pairs)]
         cycle += step
-        due.append((cycle, ip, to, hex_bytes))
+        due.append((cycle, sent[to, ip], hex_bytes))
         lines.append(_line(cycle, ip, "response", {"bytes": hex_bytes, "to": to}))
     log.responses(due)
     return cycle, lines
@@ -758,10 +763,10 @@ def _records(pools):
     """Writer records whose names come from small drawn pools, so that
     keys repeat and most records are written from cached text."""
     actor, text = st.sampled_from(pools[0]), st.sampled_from(pools[1])
-    access = st.tuples(st.just("access"), st.tuples(
-        actor, text, st.integers(), st.one_of(st.none(), text), st.booleans()))
+    access = st.tuples(st.just("access"), st.tuples(  # an IP name that can head a response
+        actor, st.one_of(actor, text), st.integers(), st.one_of(st.none(), text), st.booleans()))
     responses = st.tuples(st.just("responses"), st.lists(
-        st.tuples(st.integers(0, 3), actor, text, st.binary().map(bytes.hex)), min_size=1))
+        st.tuples(st.integers(0, 3), st.integers(0, 8), st.binary().map(bytes.hex)), min_size=1))
     return st.lists(st.tuples(st.integers(0, 3), st.one_of(access, responses)))
 
 
@@ -784,10 +789,10 @@ class TestEventLine:
     def test_fixed_writers_match_json_dumps(self, records):
         # each record's first cycle is the last one's plus the drawn step
         log = EventLog()
-        lines = []
+        lines, sent = [], {}
         cycle = 0
         for step, (kind, fields) in records:
-            cycle, written = _write(log, cycle + step, kind, fields)
+            cycle, written = _write(log, cycle + step, kind, fields, sent)
             lines += written
         assert log.to_text() == "".join(lines)
         assert len(log) == len(lines)
@@ -796,15 +801,16 @@ class TestEventLine:
     def test_log_is_the_same_across_chunk_boundaries(self):
         records = [
             ("access", ("app1", "aes", 2, None, True)),
+            ("access", ("app2", "des", 2, None, True)),
             ("access", ("app3", "rsa", 1, "matrix_deny", True)),
             ("access", ("ghost", "aes", 1, "malformed", False)),
-            ("responses", [(0, "aes", "app1", "00ff")]),
-            ("responses", [(0, "des", "app2", ""), (1, "aes", "app1", "01")]),
+            ("responses", [(0, 0, "00ff")]),  # to app1 from aes, the first access
+            ("responses", [(0, 1, ""), (1, 0, "01")]),
             ("transition", ("controller", {"target": "rsa", "to": "LOW", "status": "denied",
                                            "reason": "unauthenticated"})),
         ]
         log = EventLog()
-        lines = []
+        lines, sent = [], {}
         cycle = 0
         for i in range(5000):  # more than two chunks' worth of lines
             kind, fields = records[i % len(records)]
@@ -813,7 +819,7 @@ class TestEventLine:
                 log.append(cycle, fields[0], kind, **fields[1])
                 lines.append(_line(cycle, fields[0], kind, fields[1]))
             else:
-                cycle, written = _write(log, cycle, kind, fields)
+                cycle, written = _write(log, cycle, kind, fields, sent)
                 lines += written
         assert len(lines) > 2 * soc_sim._CHUNK
         text = log.to_text()
@@ -822,26 +828,25 @@ class TestEventLine:
         assert log.to_text() == text
         assert report(log) == log_oracle.report(log)
         # a write after to_text still appends, and the cycles still may not decrease
-        log.access(cycle, "app2", "des", 2)
-        assert log.to_text() == text + "".join(_write(EventLog(), cycle, *records[0])[1]).replace(
-            "app1", "app2").replace("aes", "des")
+        entry = log.access(cycle, "app2", "des", 2)
+        assert log.to_text() == text + "".join(_write(EventLog(), cycle, *records[1], {})[1])
         assert len(log) == len(lines) + 2
         with pytest.raises(SimulationFault):
             log.access(cycle - 1, "app2", "des", 2)
         with pytest.raises(SimulationFault):
-            log.responses([(cycle - 1, "des", "app2", "")])
+            log.responses([(cycle - 1, entry, "")])
         with pytest.raises(SimulationFault):  # a run out of cycle order
-            log.responses([(cycle + 1, "des", "app2", ""), (cycle, "des", "app2", "")])
+            log.responses([(cycle + 1, entry, ""), (cycle, entry, "")])
 
     def test_cycle_regression_right_after_a_chunk_is_joined_raises(self):
         log = EventLog()
         for _ in range(soc_sim._CHUNK // 2):  # exactly one chunk: no line is left unjoined
-            log.access(5, "app1", "aes", 2)
+            entry = log.access(5, "app1", "aes", 2)
         assert log._tail == []
         with pytest.raises(SimulationFault):
             log.access(4, "app1", "aes", 2)
         with pytest.raises(SimulationFault):
-            log.responses([(4, "aes", "app1", "")])
+            log.responses([(4, entry, "")])
         assert len(log) == soc_sim._CHUNK
 
     def test_log_holds_its_text_about_once(self):
@@ -851,8 +856,8 @@ class TestEventLine:
             before = tracemalloc.get_traced_memory()[0]
             log = EventLog()
             for cycle in range(25_000):
-                log.access(cycle, "app1", "aes", 2)
-                log.responses([(cycle, "aes", "app1", "")])
+                entry = log.access(cycle, "app1", "aes", 2)
+                log.responses([(cycle, entry, "")])
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

@@ -29,7 +29,7 @@ from trusttoken.token_authority import (
     provision,
     request_integrity_transition,
 )
-from trusttoken.trust_wrapper import SidebandSignals, WrappedTransaction
+from trusttoken.trust_wrapper import WrappedTransaction
 
 RWE = AccessAttribute.READ | AccessAttribute.WRITE | AccessAttribute.EXECUTE
 
@@ -56,10 +56,9 @@ def release_all(t):
 
 def txn_for(creds, source_obj, target_obj, kind=AccessAttribute.READ, serial=1):
     ip_id, token = creds[source_obj]
-    sideband = SidebandSignals(token, ip_id)
     return WrappedTransaction(
         source=PROC, target=target_obj, kind=kind, payload=b"\x01",
-        sideband=sideband, serial=serial,
+        ar_token=token, ar_id=ip_id, serial=serial,
     )
 
 
@@ -194,8 +193,8 @@ class TestAuthorize:
     def test_forged_token_denied(self, table, permissive_model):
         creds = release_all(table)
         ip_id, token = creds[OBJECTS[0]]
-        sideband = SidebandSignals(token ^ 1 << 255, ip_id)
-        txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", sideband, 1)
+        txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"",
+                                 token ^ 1 << 255, ip_id, 1)
         outcome = authorize(table, txn, permissive_model)
         assert not outcome.granted
         assert outcome.reason is DenialReason.TOKEN_MISMATCH
@@ -204,8 +203,7 @@ class TestAuthorize:
         creds = release_all(table)
         _, token = creds[OBJECTS[0]]
         other_id, _ = creds[OBJECTS[1]]
-        sideband = SidebandSignals(token, other_id)
-        txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", sideband, 1)
+        txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", token, other_id, 1)
         outcome = authorize(table, txn, permissive_model)
         assert outcome.reason is DenialReason.ID_MISMATCH
 
@@ -305,8 +303,7 @@ def test_authorize_is_evaluate_on_high_targets(chip, default_params):
             for sent_id, sent_token in ((ip_id, token), (ip_id, token ^ 1 << 252), (other_id, token)):
                 for bits in range(8):
                     kind = AccessAttribute(bits)
-                    sideband = SidebandSignals(sent_token, sent_id)
-                    txn = WrappedTransaction(proc, target, kind, b"", sideband, checked)
+                    txn = WrappedTransaction(proc, target, kind, b"", sent_token, sent_id, checked)
                     outcome = authorize(table, txn, model)
                     assert outcome.serial == checked
                     checked += 1
@@ -354,8 +351,7 @@ class TestIntegrityTransitions:
         _, token = creds[OBJECTS[0]]
         request_integrity_transition(table, OBJECTS[0], token, IntegrityLevel.LOW)
         # forged credentials now pass, at pass-through cost 1
-        forged = SidebandSignals(0, 200)
-        txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", forged, 1)
+        txn = WrappedTransaction(PROC, OBJECTS[0], AccessAttribute.READ, b"", 0, 200, 1)
         outcome = authorize(table, txn, permissive_model)
         assert outcome.granted and outcome.cycle_cost == 1
 
@@ -371,9 +367,8 @@ def uncached_decision(table, txn, policy):
         return False, 2, DenialReason.MALFORMED
     if level is IntegrityLevel.LOW:
         return True, 1, None
-    sideband = txn.sideband
     request = AccessRequest(txn.source.owner, txn.source, txn.target,
-                            sideband.ar_token, sideband.ar_id, txn.kind)
+                            txn.ar_token, txn.ar_id, txn.kind)
     reason = evaluate(policy, request, table)
     return reason is None, 2, reason
 
@@ -496,10 +491,9 @@ def test_memoized_authorize_equals_the_uncached_decision(chip, default_params, l
                 ip_id, token = (current if creds[0] == "current" else boot)[creds[1]]
                 if creds[0] == "forged":
                     token ^= 1 << 255 - creds[2]
-                sideband = SidebandSignals(token, ip_id)
                 target = creds[1] if target is None else target
                 serial += 1
-                txn = WrappedTransaction(proc, target, kind, b"", sideband, serial)
+                txn = WrappedTransaction(proc, target, kind, b"", token, ip_id, serial)
                 expected = uncached_decision(table, txn, policy)
                 outcome = authorize(table, txn, policy)
                 # the second pass of each access is answered from the memo
@@ -587,7 +581,7 @@ class TokenTableMachine(RuleBasedStateMachine):
         target = creds[1] if target is None else target
         model = self.models[policy]
         outcome = authorize(self.table, WrappedTransaction(
-            proc, target, kind, b"", SidebandSignals(token, ip_id), 9), model)
+            proc, target, kind, b"", token, ip_id, 9), model)
         if model is not self.policy:
             self.memo.clear()
             self.policy = model

@@ -81,14 +81,13 @@ class TestIssue:
 
     def test_sideband_verbatim(self, wrapper):
         txn = wrapper.issue(OBJ, AccessAttribute.READ, b"x", source=PROC)
-        assert txn.sideband.ar_id == 3
-        assert txn.sideband.ar_token == TOKEN
-        assert txn.sideband is wrapper.sideband
+        assert txn.ar_id == 3
+        assert txn.ar_token == TOKEN
 
     def test_serials_distinct(self, wrapper):
         t1 = wrapper.issue(OBJ, AccessAttribute.READ, b"", source=PROC)
         t2 = wrapper.issue(OBJ, AccessAttribute.READ, b"", source=PROC)
-        assert t1.sideband is t2.sideband
+        assert (t1.ar_token, t1.ar_id) == (t2.ar_token, t2.ar_id)
         assert t1.serial != t2.serial
 
     def test_empty_kind_rejected(self, wrapper):
@@ -100,25 +99,17 @@ class TestIssue:
     def test_issue_builds_a_real_wrapped_transaction(self, wrapper):
         txn = wrapper.issue(OBJ, AccessAttribute.WRITE, bytearray(b"ab"), source=PROC)
         assert type(txn) is WrappedTransaction and type(txn.payload) is bytes
-        built = WrappedTransaction(PROC, OBJ, AccessAttribute.WRITE, b"ab", wrapper.sideband, 1)
+        built = WrappedTransaction(PROC, OBJ, AccessAttribute.WRITE, b"ab", TOKEN, 3, 1)
         assert txn._asdict() == built._asdict()
         assert repr(txn) == repr(built)
 
 
 class TestInstallCredentials:
-    def test_equal_credentials_keep_the_sideband(self, wrapper):
-        sideband = wrapper.sideband
-        wrapper.install_credentials(3, TOKEN)
-        assert wrapper.sideband is sideband
-
-    @pytest.mark.parametrize("ip_id, token", [(4, TOKEN), (3, TOKEN ^ 1), (4, TOKEN ^ 1)])
-    def test_changed_credentials_build_a_new_sideband(self, wrapper, ip_id, token):
-        sideband = wrapper.sideband
-        wrapper.install_credentials(ip_id, token)
-        assert wrapper.sideband is not sideband
-        assert (wrapper.sideband.ar_id, wrapper.sideband.ar_token) == (ip_id, token)
-        txn = wrapper.issue(OBJ, AccessAttribute.READ, b"", source=PROC)
-        assert txn.sideband is wrapper.sideband
+    def test_next_issue_stamps_the_reinstalled_credentials(self, wrapper):
+        for ip_id, token in [(4, TOKEN), (4, TOKEN ^ 1), (3, TOKEN ^ 1)]:  # id, token, id
+            wrapper.install_credentials(ip_id, token)
+            txn = wrapper.issue(OBJ, AccessAttribute.READ, b"", source=PROC)
+            assert (txn.ar_id, txn.ar_token) == (ip_id, token)
 
 
 class TestDeliver:
